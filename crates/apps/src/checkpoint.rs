@@ -119,7 +119,12 @@ mod tests {
     use tsgemm_sparse::gen::random_tall;
 
     fn temp_dir(label: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("tsgemm-ckpt-{label}-{}", std::process::id()));
+        // pid + a process-wide counter: tests run on parallel threads of one
+        // process, so the pid alone does not keep their files apart.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("tsgemm-ckpt-{label}-{}-{n}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }

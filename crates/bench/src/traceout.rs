@@ -133,7 +133,10 @@ mod tests {
         let d = 8;
         let acoo = erdos_renyi(n, 5.0, 771);
         let bcoo = random_tall(n, d, 0.5, 772);
-        let tmp = std::env::temp_dir().join("tsgemm-traceout-test");
+        let tmp = std::env::temp_dir().join(format!(
+            "tsgemm-traced_run_dumps_loadable_files-{}",
+            std::process::id()
+        ));
         let out = TraceOut { dir: tmp.clone() };
         let (_, trace) = run_algo_traced(
             &Algo::ts(),

@@ -100,7 +100,11 @@ mod tests {
     use std::io::Write;
 
     fn ranks_from(lines: &str) -> Vec<RankMetrics> {
-        let p = std::env::temp_dir().join(format!("tsgemm-drift-{}.jsonl", std::process::id()));
+        // pid + a process-wide counter: tests run on parallel threads of one
+        // process, so the pid alone does not keep their files apart.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let p = std::env::temp_dir().join(format!("tsgemm-drift-{}-{n}.jsonl", std::process::id()));
         let mut f = std::fs::File::create(&p).unwrap();
         f.write_all(lines.as_bytes()).unwrap();
         let r = load_metrics_jsonl(&p).unwrap();

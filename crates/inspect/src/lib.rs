@@ -153,7 +153,12 @@ mod tests {
     use std::io::Write;
 
     fn tmpfile(name: &str, body: &str) -> std::path::PathBuf {
-        let p = std::env::temp_dir().join(format!("tsgemm-inspect-{}-{name}", std::process::id()));
+        // pid + a process-wide counter: tests run on parallel threads of one
+        // process, so the pid alone does not keep their files apart.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let p =
+            std::env::temp_dir().join(format!("tsgemm-inspect-{}-{n}-{name}", std::process::id()));
         let mut f = std::fs::File::create(&p).unwrap();
         f.write_all(body.as_bytes()).unwrap();
         p

@@ -27,6 +27,7 @@
 //! enabled would otherwise underflow the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -34,12 +35,19 @@ static LIVE: AtomicI64 = AtomicI64::new(0);
 static PEAK: AtomicI64 = AtomicI64::new(0);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Allocation calls counted on the current thread. Const-initialised
+    /// and drop-free, so reading it from the allocator never allocates.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
 /// Drop-in replacement for [`System`] that counts bytes when enabled.
 pub struct CountingAlloc;
 
 #[inline]
 fn on_alloc(size: usize) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
+    THREAD_ALLOCS.with(|n| n.set(n.get() + 1));
     let live = LIVE.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -109,6 +117,13 @@ pub fn peak_bytes() -> u64 {
 /// Number of allocation calls counted so far.
 pub fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Number of allocation calls counted so far on the calling thread: what
+/// a single-threaded code path allocates, untouched by other threads of
+/// the process (a test harness's reporting, for one).
+pub fn thread_alloc_count() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
 }
 
 /// Resets the peak to the current live level (so a subsequent

@@ -19,6 +19,12 @@
 //! [`crate::World::try_run`] with a non-empty [`crate::FaultPlan`], receives
 //! poll a shared [`crate::fault::FailureBoard`] so a dead peer surfaces as
 //! [`CommError::PeerExited`] instead of an eternal hang.
+//!
+//! All seven collectives are thin typed wrappers over one private skeleton,
+//! `Comm::exchange`: it takes a send plan (who gets which payload) and a
+//! receive plan (where each arriving payload goes), and is the only place
+//! that consults the fault plan, takes a sequence number, tampers with
+//! payloads, and records a collective's bytes.
 
 use crate::fault::{CommError, FailureInfo, FaultCtx, FaultKind, ParkedPosition};
 use crate::flight::{FlightEventKind, FlightRecorder, FlightTag};
@@ -30,6 +36,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -50,23 +57,132 @@ struct Msg {
 /// typed downcast and report [`CommError::PayloadTypeMismatch`].
 struct CorruptPayload;
 
-/// Injection effects computed at collective entry.
-struct EntryFx {
+/// A single value on the wire (`bcast`, `allreduce`): always charged
+/// `size_of::<T>()` bytes, corruptible but never truncated.
+struct One<T>(T);
+
+/// The zero-byte message of a message-based barrier: never charged and
+/// immune to tampering.
+struct Token;
+
+/// A message body with the byte accounting and tampering rules of its
+/// shape. A typed buffer (`Vec<T>`) is the general case.
+trait Payload: Send + Sized + 'static {
+    /// Element count declared in the envelope, which receivers check
+    /// against what arrives; `None` for bodies that cannot be truncated.
+    fn declared(&self) -> Option<u64> {
+        None
+    }
+
+    /// Payload bytes the message carries.
+    fn bytes(&self) -> u64;
+
+    /// Bytes charged to the sender's `bytes_to` entry for this message, or
+    /// `None` when the message adds no entry.
+    fn edge(&self) -> Option<u64> {
+        Some(self.bytes()).filter(|&b| b > 0)
+    }
+
+    /// The boxed wire form once the plan's tampering is applied.
+    fn wire(self, tamper: &Option<FaultKind>) -> Box<dyn Any + Send> {
+        match tamper {
+            Some(FaultKind::Corrupt) => Box::new(CorruptPayload),
+            _ => Box::new(self),
+        }
+    }
+}
+
+impl<T: Send + 'static> Payload for Vec<T> {
+    fn declared(&self) -> Option<u64> {
+        Some(self.len() as u64)
+    }
+
+    fn bytes(&self) -> u64 {
+        (self.len() * std::mem::size_of::<T>()) as u64
+    }
+
+    fn wire(mut self, tamper: &Option<FaultKind>) -> Box<dyn Any + Send> {
+        match tamper {
+            Some(FaultKind::Corrupt) => return Box::new(CorruptPayload),
+            Some(FaultKind::Truncate { keep }) => {
+                self.truncate((self.len() as f64 * keep.clamp(0.0, 1.0)).floor() as usize)
+            }
+            _ => {}
+        }
+        Box::new(self)
+    }
+}
+
+impl<T: Send + 'static> Payload for One<T> {
+    fn bytes(&self) -> u64 {
+        std::mem::size_of::<T>() as u64
+    }
+
+    fn edge(&self) -> Option<u64> {
+        Some(self.bytes())
+    }
+}
+
+impl Payload for Token {
+    fn bytes(&self) -> u64 {
+        0
+    }
+
+    fn wire(self, _: &Option<FaultKind>) -> Box<dyn Any + Send> {
+        Box::new(self)
+    }
+}
+
+/// Which group members a collective's messages flow between.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// Every member sends to and receives from every other member.
+    AllToAll,
+    /// The root sends to every other member.
+    FromRoot(usize),
+    /// Every other member sends to the root.
+    ToRoot(usize),
+    /// No messages: the members meet at the group's `std` barrier.
+    Sync,
+}
+
+impl Shape {
+    /// The group ranks `me` sends to and receives from; `me` itself is
+    /// skipped when sending and is its own slot when receiving.
+    fn routes(self, me: usize, size: usize) -> (Range<usize>, Range<usize>) {
+        match self {
+            Shape::AllToAll => (0..size, 0..size),
+            Shape::FromRoot(root) if root == me => (0..size, 0..0),
+            Shape::FromRoot(root) => (0..0, root..root + 1),
+            Shape::ToRoot(root) if root == me => (0..0, 0..size),
+            Shape::ToRoot(root) => (root..root + 1, 0..0),
+            Shape::Sync => (0..0, 0..0),
+        }
+    }
+}
+
+/// A collective past its entry: where it sits in the rank's streams (what
+/// fault attributions name) and what the fault plan does to it.
+struct Entered<'a> {
     /// Index of this collective in the rank's global stream (0 without an
     /// active fault context).
     op: u64,
+    seq: u64,
+    kind: CollKind,
+    tag: &'a str,
     /// Modeled straggler delay to attach to this collective's record.
     delay_secs: f64,
     /// Payload tampering to apply to outgoing sends.
     tamper: Option<FaultKind>,
 }
 
-impl EntryFx {
-    fn clean() -> Self {
-        Self {
-            op: 0,
-            delay_secs: 0.0,
-            tamper: None,
+impl Entered<'_> {
+    fn parked(&self) -> ParkedPosition {
+        ParkedPosition {
+            op_index: self.op,
+            seq: self.seq,
+            kind: self.kind,
+            tag: self.tag.to_string(),
         }
     }
 }
@@ -116,7 +232,8 @@ pub struct Comm {
     metrics: Arc<Mutex<MetricsRegistry>>,
     /// Always-on flight recorder (shared with sub-communicators): every
     /// collective logs a posted/completed event pair into the fixed ring,
-    /// and algorithms add retry/mode/step markers via [`Comm::flight`].
+    /// and algorithms add retry/mode/step markers via
+    /// [`Comm::flight_record`].
     flight: Arc<Mutex<FlightRecorder>>,
     /// Gate for algorithm-level trace instrumentation.
     trace: TraceConfig,
@@ -160,14 +277,6 @@ impl Comm {
 
     pub(crate) fn set_telemetry(&mut self, tel: RankTelemetry) {
         self.telemetry = Some(tel);
-    }
-
-    /// Forwards an event to the live-telemetry ring, when telemetry is on.
-    #[inline]
-    fn tel(&self, tag: &str, kind: TelEventKind) {
-        if let Some(t) = &self.telemetry {
-            t.emit(tag, kind);
-        }
     }
 
     /// True when this communicator runs under an active fault plan. Callers
@@ -272,372 +381,278 @@ impl Comm {
         }
     }
 
-    /// Mutable access to this rank's flight recorder, for algorithm-level
-    /// events (retries, mode decisions, step markers). Sub-communicators
-    /// share the parent's recorder. Always available — the recorder is on
-    /// even when tracing is off.
-    pub fn flight<R>(&self, f: impl FnOnce(&mut FlightRecorder) -> R) -> R {
-        f(&mut self.flight.lock())
-    }
-
-    /// Records an algorithm-level event into the flight ring *and* forwards
-    /// it to live telemetry when that is on. Event sites (retries, mode
-    /// decisions, step markers) should prefer this over [`Comm::flight`] so
-    /// the live view and the postmortem ring never disagree.
+    /// Records an event into this rank's flight ring (shared with
+    /// sub-communicators, and on even when tracing is off) *and* forwards
+    /// it to live telemetry when that is on, so the live view and the
+    /// postmortem ring never disagree. Collectives log their posted/done
+    /// pairs here; algorithms add retries, mode decisions and step markers.
     #[inline]
     pub fn flight_record(&self, tag: &str, kind: FlightEventKind) {
         self.flight.lock().record(tag, kind);
-        self.tel(tag, TelEventKind::Flight(kind));
+        if let Some(t) = &self.telemetry {
+            t.emit(tag, TelEventKind::Flight(kind));
+        }
     }
 
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
-    }
-
-    /// Consults the fault plan at collective entry. Must run **before**
-    /// [`Comm::next_seq`]: a transient failure returns without bumping the
-    /// sequence number or sending anything, so an immediate retry re-enters
-    /// in lock-step with the group.
-    fn fault_entry(&mut self, kind: CollKind, tag: &str) -> Result<EntryFx, CommError> {
+    /// Enters a collective: logs `CollPosted`, consults the fault plan,
+    /// then takes the next sequence number. A transient failure returns
+    /// before the sequence number moves or anything is sent, so an
+    /// immediate retry re-enters in lock-step with the group.
+    fn enter<'a>(&mut self, kind: CollKind, tag: &'a str) -> Result<Entered<'a>, CommError> {
         // Flight-record the posting *before* consulting the fault plan, so
         // a crashed rank's ring ends with exactly the collective (seq, kind,
         // tag) that killed it. Telemetry sees the same event in the same
         // order, so a crashed rank's live snapshot agrees with its ring.
-        let posted = FlightEventKind::CollPosted {
-            seq: self.seq,
+        let seq = self.seq;
+        self.flight_record(tag, FlightEventKind::CollPosted { seq, kind });
+        let mut at = Entered {
+            op: 0,
+            seq,
             kind,
+            tag,
+            delay_secs: 0.0,
+            tamper: None,
         };
-        self.flight.lock().record(tag, posted);
-        self.tel(tag, TelEventKind::Flight(posted));
-        let Some(ctx) = &self.fault else {
-            return Ok(EntryFx::clean());
-        };
-        let (op, fault) = ctx.enter_collective(tag);
-        match fault {
-            None => Ok(EntryFx {
-                op,
-                delay_secs: 0.0,
-                tamper: None,
-            }),
-            Some(FaultKind::Crash) => {
-                let at = ParkedPosition {
-                    op_index: op,
-                    seq: self.seq,
-                    kind,
-                    tag: tag.to_string(),
-                };
-                ctx.board.mark_failed(FailureInfo {
-                    world_rank: ctx.world_rank,
-                    parked: Some(at.clone()),
-                    cause: "injected rank crash".into(),
-                });
-                panic!("injected rank crash: world rank {} at {at}", ctx.world_rank);
+        if let Some(ctx) = &self.fault {
+            let (op, fault) = ctx.enter_collective(tag);
+            at.op = op;
+            match fault {
+                Some(FaultKind::Crash) => {
+                    let parked = at.parked();
+                    ctx.board.mark_failed(FailureInfo {
+                        world_rank: ctx.world_rank,
+                        parked: Some(parked.clone()),
+                        cause: "injected rank crash".into(),
+                    });
+                    panic!(
+                        "injected rank crash: world rank {} at {parked}",
+                        ctx.world_rank
+                    );
+                }
+                Some(FaultKind::Transient) => {
+                    return Err(CommError::Injected {
+                        rank: self.rank,
+                        op_index: op,
+                        kind,
+                        tag: tag.to_string(),
+                    })
+                }
+                Some(FaultKind::Delay { secs }) => at.delay_secs = secs,
+                tamper => at.tamper = tamper,
             }
-            Some(FaultKind::Transient) => Err(CommError::Injected {
-                rank: self.rank,
-                op_index: op,
-                kind,
-                tag: tag.to_string(),
-            }),
-            Some(FaultKind::Delay { secs }) => Ok(EntryFx {
-                op,
-                delay_secs: secs,
-                tamper: None,
-            }),
-            Some(t @ (FaultKind::Truncate { .. } | FaultKind::Corrupt)) => Ok(EntryFx {
-                op,
-                delay_secs: 0.0,
-                tamper: Some(t),
-            }),
         }
+        self.seq += 1;
+        Ok(at)
     }
 
     /// Publishes a fatal (non-retryable) error on the failure board so
     /// peers waiting on this rank cascade into `PeerExited` instead of
     /// hanging, then hands the error back.
-    fn fatal(&self, err: CommError, at: ParkedPosition) -> CommError {
+    fn fatal(&self, err: CommError, at: &Entered) -> CommError {
         if let Some(ctx) = &self.fault {
             ctx.board.mark_failed(FailureInfo {
                 world_rank: ctx.world_rank,
-                parked: Some(at),
+                parked: Some(at.parked()),
                 cause: err.to_string(),
             });
         }
         err
     }
 
-    fn parked_at(&self, op: u64, seq: u64, kind: CollKind, tag: &str) -> ParkedPosition {
-        ParkedPosition {
-            op_index: op,
-            seq,
-            kind,
-            tag: tag.to_string(),
-        }
-    }
-
-    fn send_to(
-        &self,
-        dst: usize,
-        seq: u64,
-        kind: CollKind,
-        declared_len: Option<u64>,
-        payload: Box<dyn Any + Send>,
-    ) {
-        // The receiver half lives in `GroupShared`, which outlives every
-        // rank, so a send cannot fail while the run is alive; a dead peer is
-        // detected on the receive side instead.
-        let _ = self.group.senders[dst].send(Msg {
-            src: self.rank,
-            seq,
-            kind,
-            declared_len,
-            payload,
-        });
-    }
-
-    /// Sends a vector payload, applying any active tampering. Returns the
-    /// bytes the sender *intended* to move (accounting charges the declared
-    /// payload even when a fault shortens or garbles the wire data).
-    fn send_vec<T: Send + 'static>(
-        &self,
-        dst: usize,
-        seq: u64,
-        kind: CollKind,
-        data: Vec<T>,
-        tamper: &Option<FaultKind>,
-    ) -> u64 {
-        let declared = data.len() as u64;
-        let bytes = declared * std::mem::size_of::<T>() as u64;
-        match tamper {
-            Some(FaultKind::Corrupt) => {
-                self.send_to(dst, seq, kind, Some(declared), Box::new(CorruptPayload));
-            }
-            Some(FaultKind::Truncate { keep }) => {
-                let mut d = data;
-                let keep_n = ((declared as f64) * keep.clamp(0.0, 1.0)).floor() as usize;
-                d.truncate(keep_n.min(d.len()));
-                self.send_to(dst, seq, kind, Some(declared), Box::new(d));
-            }
-            _ => self.send_to(dst, seq, kind, Some(declared), Box::new(data)),
-        }
-        bytes
-    }
-
-    /// Receives the message for (`src`, `seq`, `kind`), parking any
+    /// Receives the message for (`src`, `at.seq`, `at.kind`), parking any
     /// out-of-order messages from other sources. Under an active fault
     /// context the wait polls the failure board, so a crashed or finished
     /// peer produces [`CommError::PeerExited`] rather than a hang.
-    fn try_recv_from(
-        &mut self,
-        src: usize,
-        seq: u64,
-        kind: CollKind,
-        tag: &str,
-        op: u64,
-    ) -> Result<Msg, CommError> {
-        if let Some(front) = self.pending[src].front() {
-            if (front.seq, front.kind) != (seq, kind) {
-                let (got_seq, got_kind) = (front.seq, front.kind);
-                let err = CommError::CollectiveMismatch {
-                    rank: self.rank,
-                    src,
-                    expected_kind: kind,
-                    expected_seq: seq,
-                    got_kind,
-                    got_seq,
-                    tag: tag.to_string(),
-                };
-                return Err(self.fatal(err, self.parked_at(op, seq, kind, tag)));
-            }
-            return Ok(self.pending[src].pop_front().unwrap());
-        }
-        if let Some(ctx) = &self.fault {
-            ctx.board
-                .set_parked(ctx.world_rank, self.parked_at(op, seq, kind, tag));
-        }
-        loop {
-            let msg = if let Some(ctx) = &self.fault {
-                match self.group.receivers[self.rank].recv_timeout(PARK_POLL) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        let src_world = self.group.info.world_ranks[src];
-                        let peer_cause = if let Some(info) = ctx.board.failure_of(src_world) {
-                            Some(info.cause)
-                        } else if ctx.board.is_done(src_world) {
-                            Some("completed without a matching collective".to_string())
-                        } else if e == RecvTimeoutError::Disconnected {
-                            Some("mailbox disconnected".to_string())
-                        } else {
-                            None
-                        };
-                        match peer_cause {
-                            Some(cause) => {
-                                let err = CommError::PeerExited {
-                                    rank: self.rank,
-                                    peer_world: src_world,
-                                    seq,
-                                    kind,
-                                    tag: tag.to_string(),
-                                    peer_cause: cause,
-                                };
-                                return Err(self.fatal(err, self.parked_at(op, seq, kind, tag)));
-                            }
-                            None => continue,
-                        }
-                    }
-                }
-            } else {
-                match self.group.receivers[self.rank].recv() {
-                    Ok(m) => m,
-                    Err(_) => {
-                        // Unreachable in practice (senders live in the shared
-                        // group state), but surface it as a typed error.
-                        return Err(CommError::PeerExited {
-                            rank: self.rank,
-                            peer_world: self.group.info.world_ranks[src],
-                            seq,
-                            kind,
-                            tag: tag.to_string(),
-                            peer_cause: "mailbox disconnected".to_string(),
-                        });
-                    }
-                }
+    fn try_recv_from(&mut self, src: usize, at: &Entered) -> Result<Msg, CommError> {
+        let msg = match self.pending[src].pop_front() {
+            Some(msg) => msg,
+            None => self.wait_for(src, at)?,
+        };
+        if (msg.seq, msg.kind) != (at.seq, at.kind) {
+            let err = CommError::CollectiveMismatch {
+                rank: self.rank,
+                src,
+                expected_kind: at.kind,
+                expected_seq: at.seq,
+                got_kind: msg.kind,
+                got_seq: msg.seq,
+                tag: at.tag.to_string(),
             };
-            if msg.src == src {
-                if (msg.seq, msg.kind) != (seq, kind) {
-                    let err = CommError::CollectiveMismatch {
-                        rank: self.rank,
-                        src,
-                        expected_kind: kind,
-                        expected_seq: seq,
-                        got_kind: msg.kind,
-                        got_seq: msg.seq,
-                        tag: tag.to_string(),
-                    };
-                    return Err(self.fatal(err, self.parked_at(op, seq, kind, tag)));
+            return Err(self.fatal(err, at));
+        }
+        Ok(msg)
+    }
+
+    /// Blocks until the next message from `src` arrives.
+    fn wait_for(&mut self, src: usize, at: &Entered) -> Result<Msg, CommError> {
+        if let Some(ctx) = &self.fault {
+            ctx.board.set_parked(ctx.world_rank, at.parked());
+        }
+        let inbox = &self.group.receivers[self.rank];
+        loop {
+            let got = match &self.fault {
+                Some(_) => inbox.recv_timeout(PARK_POLL),
+                None => inbox.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            let err = match got {
+                Ok(msg) if msg.src == src => return Ok(msg),
+                Ok(msg) => {
+                    self.pending[msg.src].push_back(msg);
+                    continue;
                 }
-                return Ok(msg);
-            }
-            let s = msg.src;
-            self.pending[s].push_back(msg);
+                Err(err) => err,
+            };
+            let peer_world = self.group.info.world_ranks[src];
+            let board = self.fault.as_ref().map(|ctx| &ctx.board);
+            let peer_cause = if let Some(info) = board.and_then(|b| b.failure_of(peer_world)) {
+                info.cause
+            } else if board.is_some_and(|b| b.is_done(peer_world)) {
+                "completed without a matching collective".to_string()
+            } else if err == RecvTimeoutError::Disconnected {
+                // Unreachable in practice: the senders live in the shared
+                // group state, which outlives every rank.
+                "mailbox disconnected".to_string()
+            } else {
+                continue;
+            };
+            let err = CommError::PeerExited {
+                rank: self.rank,
+                peer_world,
+                seq: at.seq,
+                kind: at.kind,
+                tag: at.tag.to_string(),
+                peer_cause,
+            };
+            return Err(self.fatal(err, at));
         }
     }
 
-    /// Unboxes a vector payload, verifying type and declared length.
-    fn downcast_vec<T: Send + 'static>(
-        &self,
-        msg: Msg,
-        kind: CollKind,
-        tag: &str,
-        op: u64,
-        seq: u64,
-    ) -> Result<Vec<T>, CommError> {
-        let src = msg.src;
-        let declared = msg.declared_len;
-        match msg.payload.downcast::<Vec<T>>() {
-            Ok(v) => {
-                if let Some(d) = declared {
-                    if v.len() as u64 != d {
-                        let err = CommError::TruncatedPayload {
-                            rank: self.rank,
-                            src,
-                            kind,
-                            tag: tag.to_string(),
-                            declared: d,
-                            got: v.len() as u64,
-                        };
-                        return Err(self.fatal(err, self.parked_at(op, seq, kind, tag)));
-                    }
-                }
-                Ok(*v)
-            }
-            Err(_) => {
-                let err = CommError::PayloadTypeMismatch {
-                    rank: self.rank,
+    /// Unboxes a payload, verifying its type and, for buffers, its
+    /// declared length.
+    fn unpack<P: Payload>(&self, msg: Msg, at: &Entered) -> Result<P, CommError> {
+        let (rank, src, kind) = (self.rank, msg.src, at.kind);
+        let err = match msg.payload.downcast::<P>() {
+            Ok(p) => match (msg.declared_len, p.declared()) {
+                (Some(declared), Some(got)) if declared != got => CommError::TruncatedPayload {
+                    rank,
                     src,
                     kind,
-                    tag: tag.to_string(),
-                };
-                Err(self.fatal(err, self.parked_at(op, seq, kind, tag)))
-            }
-        }
+                    tag: at.tag.to_string(),
+                    declared,
+                    got,
+                },
+                _ => return Ok(*p),
+            },
+            Err(_) => CommError::PayloadTypeMismatch {
+                rank,
+                src,
+                kind,
+                tag: at.tag.to_string(),
+            },
+        };
+        Err(self.fatal(err, at))
     }
 
-    /// Unboxes a scalar payload, verifying the type.
-    fn downcast_scalar<T: Send + 'static>(
-        &self,
-        msg: Msg,
-        kind: CollKind,
-        tag: &str,
-        op: u64,
-        seq: u64,
-    ) -> Result<T, CommError> {
-        let src = msg.src;
-        match msg.payload.downcast::<T>() {
-            Ok(v) => Ok(*v),
-            Err(_) => {
-                let err = CommError::PayloadTypeMismatch {
-                    rank: self.rank,
-                    src,
-                    kind,
-                    tag: tag.to_string(),
-                };
-                Err(self.fatal(err, self.parked_at(op, seq, kind, tag)))
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        &self,
+    /// The one collective skeleton. In order, it:
+    ///
+    /// 1. enters the collective ([`Comm::enter`]: logs `CollPosted`,
+    ///    consults the fault plan, takes the next sequence number);
+    /// 2. runs the send plan: `send(dst)` builds the payload for each
+    ///    destination `shape` gives this rank, which goes out tampered as
+    ///    the plan says and is charged to `bytes_to` by its [`Payload`] rule;
+    /// 3. runs the receive plan: each source's payload, in group-rank
+    ///    order, is checked and handed to `recv`, where `None` marks this
+    ///    rank's own slot (so gathers and folds see group-rank order);
+    /// 4. makes the collective's one record: `CollDone` into the flight
+    ///    ring and telemetry, one telemetry `Edge` per destination, and the
+    ///    [`CollectiveRecord`], whose `uniform_bytes` is `uniform` (`None`:
+    ///    the bytes received, as at a broadcast's non-roots).
+    ///
+    /// All sends precede all receives, so no rank waits on a peer that is
+    /// itself waiting to send.
+    fn exchange<P: Payload>(
+        &mut self,
         kind: CollKind,
         tag: String,
-        bytes_to: Vec<(usize, u64)>,
-        bytes_received: u64,
-        recv_msgs: u32,
-        uniform_bytes: u64,
-        injected_delay_secs: f64,
-        entered: Instant,
-    ) {
-        // `record` runs after `next_seq`, so the completed collective's
-        // sequence number is the previous one.
+        shape: Shape,
+        uniform: Option<u64>,
+        mut send: impl FnMut(usize) -> P,
+        mut recv: impl FnMut(Option<P>),
+    ) -> Result<(), CommError> {
+        let entered = Instant::now();
+        let at = self.enter(kind, &tag)?;
+        let seq = at.seq;
+        let (to, from) = shape.routes(self.rank, self.size());
+        let mut bytes_to = Vec::new();
+        let fanout = to.len();
+        for dst in to.filter(|&dst| dst != self.rank) {
+            let payload = send(dst);
+            if let Some(bytes) = payload.edge() {
+                if bytes_to.is_empty() {
+                    bytes_to.reserve_exact(fanout);
+                }
+                bytes_to.push((self.group.info.world_ranks[dst], bytes));
+            }
+            // The receiver half lives in `GroupShared`, which outlives every
+            // rank, so a send cannot fail while the run is alive; a dead
+            // peer is detected on the receive side instead.
+            let _ = self.group.senders[dst].send(Msg {
+                src: self.rank,
+                seq,
+                kind,
+                declared_len: payload.declared(),
+                payload: payload.wire(&at.tamper),
+            });
+        }
+        if let Shape::Sync = shape {
+            self.group.barrier.wait();
+        }
+        let (mut received, mut recv_msgs) = (0, 0);
+        for src in from {
+            if src == self.rank {
+                recv(None);
+                continue;
+            }
+            let msg = self.try_recv_from(src, &at)?;
+            let payload = self.unpack::<P>(msg, &at)?;
+            received += payload.bytes();
+            // Message counts only price sparse all-to-alls.
+            if kind == CollKind::AllToAllV && payload.declared() > Some(0) {
+                recv_msgs += 1;
+            }
+            recv(Some(payload));
+        }
+
         let done = FlightEventKind::CollDone {
-            seq: self.seq.wrapping_sub(1),
+            seq,
             kind,
             sent: bytes_to.iter().map(|&(_, b)| b).sum(),
-            recv: bytes_received,
+            recv: received,
         };
-        self.flight.lock().record(&tag, done);
-        if self.telemetry.is_some() {
-            self.tel(&tag, TelEventKind::Flight(done));
+        self.flight_record(&tag, done);
+        if let Some(tel) = &self.telemetry {
             // One matrix edge per destination; `bytes_to` is already keyed
             // by world rank, which is what the rank×rank matrix indexes.
             for &(dst, bytes) in &bytes_to {
-                self.tel(
-                    &tag,
-                    TelEventKind::Edge {
-                        dst: dst as u32,
-                        kind,
-                        bytes,
-                    },
-                );
+                let dst = dst as u32;
+                tel.emit(&tag, TelEventKind::Edge { dst, kind, bytes });
             }
         }
+        let injected_delay_secs = at.delay_secs;
         let rec = CollectiveRecord {
             kind,
             tag,
             group: Arc::clone(&self.group.info),
             bytes_to,
-            bytes_received,
+            bytes_received: received,
             recv_msgs,
-            uniform_bytes,
+            uniform_bytes: uniform.unwrap_or(received),
             wait_secs: entered.elapsed().as_secs_f64(),
             injected_delay_secs,
             entered_secs: 0.0, // set by end_segment from the profile epoch
         };
         self.profile.lock().end_segment(rec, entered);
+        Ok(())
     }
 
     /// Personalised all-to-all: `sends[j]` goes to group rank `j`; returns
@@ -657,56 +672,22 @@ impl Comm {
     /// Fallible [`Comm::alltoallv`]. On [`CommError::Injected`] no
     /// communication happened and the collective may be retried with the
     /// same buffers (callers must keep a copy; the originals are consumed).
-    #[allow(clippy::needless_range_loop)] // dst/src are rank ids, not slice walks
     pub fn try_alltoallv<T: Send + 'static>(
         &mut self,
         mut sends: Vec<Vec<T>>,
         tag: impl Into<String>,
     ) -> Result<Vec<Vec<T>>, CommError> {
-        let tag = tag.into();
         assert_eq!(sends.len(), self.size(), "one send buffer per rank");
-        let entered = Instant::now();
-        let fx = self.fault_entry(CollKind::AllToAllV, &tag)?;
-        let seq = self.next_seq();
-        let elem = std::mem::size_of::<T>() as u64;
-        let mut bytes_to = Vec::with_capacity(self.size().saturating_sub(1));
-        for dst in 0..self.size() {
-            if dst == self.rank {
-                continue;
-            }
-            let data = std::mem::take(&mut sends[dst]);
-            let bytes = data.len() as u64 * elem;
-            if bytes > 0 {
-                bytes_to.push((self.group.info.world_ranks[dst], bytes));
-            }
-            self.send_vec(dst, seq, CollKind::AllToAllV, data, &fx.tamper);
-        }
-        let mut received = 0u64;
-        let mut recv_msgs = 0u32;
-        let mut recvs: Vec<Vec<T>> = Vec::with_capacity(self.size());
-        for src in 0..self.size() {
-            if src == self.rank {
-                recvs.push(std::mem::take(&mut sends[src]));
-            } else {
-                let msg = self.try_recv_from(src, seq, CollKind::AllToAllV, &tag, fx.op)?;
-                let data = self.downcast_vec::<T>(msg, CollKind::AllToAllV, &tag, fx.op, seq)?;
-                if !data.is_empty() {
-                    recv_msgs += 1;
-                }
-                received += data.len() as u64 * elem;
-                recvs.push(data);
-            }
-        }
-        self.record(
+        let mut recvs = Vec::with_capacity(self.size());
+        self.exchange(
             CollKind::AllToAllV,
-            tag,
-            bytes_to,
-            received,
-            recv_msgs,
-            0,
-            fx.delay_secs,
-            entered,
-        );
+            tag.into(),
+            Shape::AllToAll,
+            Some(0),
+            |dst| std::mem::take(&mut sends[dst]),
+            |got| recvs.push(got.unwrap_or_default()),
+        )?;
+        recvs[self.rank] = std::mem::take(&mut sends[self.rank]);
         Ok(recvs)
     }
 
@@ -727,44 +708,16 @@ impl Comm {
         data: Vec<T>,
         tag: impl Into<String>,
     ) -> Result<Vec<Vec<T>>, CommError> {
-        let tag = tag.into();
-        let entered = Instant::now();
-        let fx = self.fault_entry(CollKind::AllGatherV, &tag)?;
-        let seq = self.next_seq();
-        let elem = std::mem::size_of::<T>() as u64;
-        let own_bytes = data.len() as u64 * elem;
-        let mut bytes_to = Vec::with_capacity(self.size().saturating_sub(1));
-        for dst in 0..self.size() {
-            if dst == self.rank {
-                continue;
-            }
-            if own_bytes > 0 {
-                bytes_to.push((self.group.info.world_ranks[dst], own_bytes));
-            }
-            self.send_vec(dst, seq, CollKind::AllGatherV, data.clone(), &fx.tamper);
-        }
-        let mut received = 0u64;
         let mut out = Vec::with_capacity(self.size());
-        for src in 0..self.size() {
-            if src == self.rank {
-                out.push(data.clone());
-            } else {
-                let msg = self.try_recv_from(src, seq, CollKind::AllGatherV, &tag, fx.op)?;
-                let v = self.downcast_vec::<T>(msg, CollKind::AllGatherV, &tag, fx.op, seq)?;
-                received += v.len() as u64 * elem;
-                out.push(v);
-            }
-        }
-        self.record(
+        self.exchange(
             CollKind::AllGatherV,
-            tag,
-            bytes_to,
-            received,
-            0,
-            own_bytes,
-            fx.delay_secs,
-            entered,
-        );
+            tag.into(),
+            Shape::AllToAll,
+            Some(data.bytes()),
+            |_| data.clone(),
+            |got| out.push(got.unwrap_or_default()),
+        )?;
+        out[self.rank] = data;
         Ok(out)
     }
 
@@ -786,54 +739,23 @@ impl Comm {
         value: Option<T>,
         tag: impl Into<String>,
     ) -> Result<T, CommError> {
-        let tag = tag.into();
         assert!(root < self.size(), "root out of range");
-        let entered = Instant::now();
-        let fx = self.fault_entry(CollKind::Bcast, &tag)?;
-        let seq = self.next_seq();
-        let elem = std::mem::size_of::<T>() as u64;
-        if self.rank == root {
-            let v = value.expect("root must supply the broadcast value");
-            let corrupt = matches!(fx.tamper, Some(FaultKind::Corrupt));
-            let mut bytes_to = Vec::with_capacity(self.size().saturating_sub(1));
-            for dst in 0..self.size() {
-                if dst == root {
-                    continue;
-                }
-                bytes_to.push((self.group.info.world_ranks[dst], elem));
-                if corrupt {
-                    self.send_to(dst, seq, CollKind::Bcast, None, Box::new(CorruptPayload));
-                } else {
-                    self.send_to(dst, seq, CollKind::Bcast, None, Box::new(v.clone()));
-                }
-            }
-            self.record(
-                CollKind::Bcast,
-                tag,
-                bytes_to,
-                0,
-                0,
-                elem,
-                fx.delay_secs,
-                entered,
-            );
-            Ok(v)
-        } else {
-            assert!(value.is_none(), "non-root must pass None");
-            let msg = self.try_recv_from(root, seq, CollKind::Bcast, &tag, fx.op)?;
-            let v = self.downcast_scalar::<T>(msg, CollKind::Bcast, &tag, fx.op, seq)?;
-            self.record(
-                CollKind::Bcast,
-                tag,
-                Vec::new(),
-                elem,
-                0,
-                elem,
-                fx.delay_secs,
-                entered,
-            );
-            Ok(v)
-        }
+        let is_root = self.rank == root;
+        assert!(
+            value.is_some() || !is_root,
+            "root must supply the broadcast value"
+        );
+        assert!(value.is_none() || is_root, "non-root must pass None");
+        let mut got = None;
+        self.exchange(
+            CollKind::Bcast,
+            tag.into(),
+            Shape::FromRoot(root),
+            Some(std::mem::size_of::<T>() as u64),
+            |_| One(value.clone().expect("only the root sends")),
+            |v| got = v.map(|One(v)| v),
+        )?;
+        Ok(value.or(got).expect("non-roots receive the root's value"))
     }
 
     /// Broadcast of a variable-length buffer from `root`; non-roots pass an
@@ -856,51 +778,17 @@ impl Comm {
         data: Vec<T>,
         tag: impl Into<String>,
     ) -> Result<Vec<T>, CommError> {
-        let tag = tag.into();
         assert!(root < self.size(), "root out of range");
-        let entered = Instant::now();
-        let fx = self.fault_entry(CollKind::Bcast, &tag)?;
-        let seq = self.next_seq();
-        let elem = std::mem::size_of::<T>() as u64;
-        if self.rank == root {
-            let bytes = data.len() as u64 * elem;
-            let mut bytes_to = Vec::with_capacity(self.size().saturating_sub(1));
-            for dst in 0..self.size() {
-                if dst == root {
-                    continue;
-                }
-                if bytes > 0 {
-                    bytes_to.push((self.group.info.world_ranks[dst], bytes));
-                }
-                self.send_vec(dst, seq, CollKind::Bcast, data.clone(), &fx.tamper);
-            }
-            self.record(
-                CollKind::Bcast,
-                tag,
-                bytes_to,
-                0,
-                0,
-                bytes,
-                fx.delay_secs,
-                entered,
-            );
-            Ok(data)
-        } else {
-            let msg = self.try_recv_from(root, seq, CollKind::Bcast, &tag, fx.op)?;
-            let v = self.downcast_vec::<T>(msg, CollKind::Bcast, &tag, fx.op, seq)?;
-            let bytes = v.len() as u64 * elem;
-            self.record(
-                CollKind::Bcast,
-                tag,
-                Vec::new(),
-                bytes,
-                0,
-                bytes,
-                fx.delay_secs,
-                entered,
-            );
-            Ok(v)
-        }
+        let mut got = None;
+        self.exchange(
+            CollKind::Bcast,
+            tag.into(),
+            Shape::FromRoot(root),
+            (self.rank == root).then(|| data.bytes()),
+            |_| data.clone(),
+            |v| got = v,
+        )?;
+        Ok(got.unwrap_or(data))
     }
 
     /// All-reduce with a user-supplied associative, commutative `op`.
@@ -925,54 +813,22 @@ impl Comm {
         op: impl Fn(T, T) -> T,
         tag: impl Into<String>,
     ) -> Result<T, CommError> {
-        let tag = tag.into();
-        let entered = Instant::now();
-        let fx = self.fault_entry(CollKind::AllReduce, &tag)?;
-        let seq = self.next_seq();
-        let elem = std::mem::size_of::<T>() as u64;
-        let corrupt = matches!(fx.tamper, Some(FaultKind::Corrupt));
-        let mut bytes_to = Vec::with_capacity(self.size().saturating_sub(1));
-        for dst in 0..self.size() {
-            if dst == self.rank {
-                continue;
-            }
-            bytes_to.push((self.group.info.world_ranks[dst], elem));
-            if corrupt {
-                self.send_to(
-                    dst,
-                    seq,
-                    CollKind::AllReduce,
-                    None,
-                    Box::new(CorruptPayload),
-                );
-            } else {
-                self.send_to(dst, seq, CollKind::AllReduce, None, Box::new(value.clone()));
-            }
-        }
-        let mut acc: Option<T> = None;
-        for src in 0..self.size() {
-            let v = if src == self.rank {
-                value.clone()
-            } else {
-                let msg = self.try_recv_from(src, seq, CollKind::AllReduce, &tag, fx.op)?;
-                self.downcast_scalar::<T>(msg, CollKind::AllReduce, &tag, fx.op, seq)?
-            };
-            acc = Some(match acc {
-                None => v,
-                Some(a) => op(a, v),
-            });
-        }
-        self.record(
+        let mut acc = None;
+        self.exchange(
             CollKind::AllReduce,
-            tag,
-            bytes_to,
-            elem * (self.size() as u64 - 1),
-            0,
-            elem,
-            fx.delay_secs,
-            entered,
-        );
-        Ok(acc.unwrap())
+            tag.into(),
+            Shape::AllToAll,
+            Some(std::mem::size_of::<T>() as u64),
+            |_| One(value.clone()),
+            |v| {
+                let v = v.map_or_else(|| value.clone(), |One(v)| v);
+                acc = Some(match acc.take() {
+                    Some(a) => op(a, v),
+                    None => v,
+                });
+            },
+        )?;
+        Ok(acc.expect("the fold includes this rank's own value"))
     }
 
     /// Gather variable-size contributions at `root`; returns `Some(vec of
@@ -990,62 +846,25 @@ impl Comm {
     /// Fallible [`Comm::gatherv`].
     pub fn try_gatherv<T: Send + 'static>(
         &mut self,
-        data: Vec<T>,
+        mut data: Vec<T>,
         root: usize,
         tag: impl Into<String>,
     ) -> Result<Option<Vec<Vec<T>>>, CommError> {
-        let tag = tag.into();
         assert!(root < self.size(), "root out of range");
-        let entered = Instant::now();
-        let fx = self.fault_entry(CollKind::GatherV, &tag)?;
-        let seq = self.next_seq();
-        let elem = std::mem::size_of::<T>() as u64;
-        if self.rank == root {
-            let mut out = Vec::with_capacity(self.size());
-            let mut received = 0u64;
-            for src in 0..self.size() {
-                if src == root {
-                    // Placeholder replaced below to keep index order.
-                    out.push(Vec::new());
-                } else {
-                    let msg = self.try_recv_from(src, seq, CollKind::GatherV, &tag, fx.op)?;
-                    let v = self.downcast_vec::<T>(msg, CollKind::GatherV, &tag, fx.op, seq)?;
-                    received += v.len() as u64 * elem;
-                    out.push(v);
-                }
-            }
+        let is_root = self.rank == root;
+        let mut out = Vec::with_capacity(if is_root { self.size() } else { 0 });
+        self.exchange(
+            CollKind::GatherV,
+            tag.into(),
+            Shape::ToRoot(root),
+            Some(0),
+            |_| std::mem::take(&mut data),
+            |got| out.push(got.unwrap_or_default()),
+        )?;
+        Ok(is_root.then(|| {
             out[root] = data;
-            self.record(
-                CollKind::GatherV,
-                tag,
-                Vec::new(),
-                received,
-                0,
-                0,
-                fx.delay_secs,
-                entered,
-            );
-            Ok(Some(out))
-        } else {
-            let bytes = data.len() as u64 * elem;
-            let bytes_to = if bytes > 0 {
-                vec![(self.group.info.world_ranks[root], bytes)]
-            } else {
-                Vec::new()
-            };
-            self.send_vec(root, seq, CollKind::GatherV, data, &fx.tamper);
-            self.record(
-                CollKind::GatherV,
-                tag,
-                bytes_to,
-                0,
-                0,
-                0,
-                fx.delay_secs,
-                entered,
-            );
-            Ok(None)
-        }
+            out
+        }))
     }
 
     /// Synchronises all group members.
@@ -1057,35 +876,18 @@ impl Comm {
     /// message-based (a zero-byte exchange through the mailboxes) so a dead
     /// peer is detected; a `std` barrier would block forever.
     pub fn try_barrier(&mut self, tag: impl Into<String>) -> Result<(), CommError> {
-        let tag = tag.into();
-        let entered = Instant::now();
-        let fx = self.fault_entry(CollKind::Barrier, &tag)?;
-        let seq = self.next_seq();
-        if self.fault.is_some() {
-            for dst in 0..self.size() {
-                if dst != self.rank {
-                    self.send_to(dst, seq, CollKind::Barrier, None, Box::new(()));
-                }
-            }
-            for src in 0..self.size() {
-                if src != self.rank {
-                    let _ = self.try_recv_from(src, seq, CollKind::Barrier, &tag, fx.op)?;
-                }
-            }
-        } else {
-            self.group.barrier.wait();
-        }
-        self.record(
+        let shape = match self.fault {
+            Some(_) => Shape::AllToAll,
+            None => Shape::Sync,
+        };
+        self.exchange(
             CollKind::Barrier,
-            tag,
-            Vec::new(),
-            0,
-            0,
-            0,
-            fx.delay_secs,
-            entered,
-        );
-        Ok(())
+            tag.into(),
+            shape,
+            Some(0),
+            |_| Token,
+            |_| {},
+        )
     }
 
     /// Splits the communicator into sub-communicators: members with equal

@@ -441,7 +441,10 @@ mod tests {
         let mut b = FlightRecorder::with_capacity(1, 4);
         a.record("p", FlightEventKind::StepStart { rb: 0, cb: 0 });
         b.record("p", FlightEventKind::StepStart { rb: 0, cb: 0 });
-        let dir = std::env::temp_dir().join(format!("tsgemm-flight-test-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "tsgemm-write_flight_jsonl_concatenates_ranks-{}",
+            std::process::id()
+        ));
         let path = write_flight_jsonl(&dir, &[a, b]).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body.lines().count(), 2);

@@ -17,10 +17,11 @@
 //!   analysis (§III-E), with distinct intra-/inter-node bandwidths and a
 //!   flops-based compute term.
 //!
-//! The separation matters on this host (a single core): measured wall-clock
-//! across oversubscribed thread-ranks is meaningless, but volumes are exact
-//! and the α–β model turns them into defensible scaling shapes. Harnesses
-//! report both measured and modeled numbers.
+//! The separation matters because thread-ranks share one machine's cores:
+//! measured wall-clock across oversubscribed thread-ranks says little about
+//! a cluster, but volumes are exact and the α–β model turns them into
+//! defensible scaling shapes. Harnesses report both measured and modeled
+//! numbers.
 //!
 //! The [`fault`] module adds a deterministic fault-injection layer on top:
 //! [`world::World::try_run`] executes a rank function under a [`FaultPlan`]

@@ -367,7 +367,10 @@ mod tests {
     #[test]
     fn write_trace_files_roundtrip() {
         let (profiles, metrics) = sample_run();
-        let dir = std::env::temp_dir().join(format!("tsgemm-trace-test-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "tsgemm-write_trace_files_roundtrip-{}",
+            std::process::id()
+        ));
         let (trace, jsonl) = write_trace_files(&dir, &profiles, &metrics).unwrap();
         let trace_body = std::fs::read_to_string(&trace).unwrap();
         assert!(trace_body.contains("traceEvents"));

@@ -93,6 +93,16 @@ fn unwrap_arcs<T>(arcs: Vec<Arc<Mutex<T>>>, clone_out: impl Fn(&T) -> T) -> Vec<
         .collect()
 }
 
+/// What every rank of a run left behind, before failures are interpreted.
+struct Launched<R> {
+    /// Rank `i`'s return value, or the payload of its panic.
+    outcomes: Vec<std::thread::Result<R>>,
+    profiles: Vec<RankProfile>,
+    metrics: Vec<MetricsRegistry>,
+    flights: Vec<FlightRecorder>,
+    board: Arc<FailureBoard>,
+}
+
 /// How many flight-recorder events a failed rank's [`HangEntry`] embeds.
 const HANG_TAIL_EVENTS: usize = 8;
 
@@ -102,8 +112,9 @@ pub struct World;
 impl World {
     /// Runs `f` on `p` ranks (threads); blocks until all complete.
     ///
-    /// Each rank receives a mutable [`Comm`] for the world group. Panics in
-    /// any rank propagate (the run aborts with that panic), matching the
+    /// Each rank receives a mutable [`Comm`] for the world group. Panics
+    /// propagate: once every rank has finished, the lowest-ranked failing
+    /// rank's panic is re-raised with its payload unchanged, matching the
     /// fail-fast behaviour of an MPI job.
     pub fn run<R, F>(p: usize, f: F) -> RunOutput<R>
     where
@@ -135,64 +146,17 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,
     {
-        assert!(p > 0, "need at least one rank");
-        let group = GroupShared::new((0..p).collect());
-        let profiles: Vec<Arc<Mutex<RankProfile>>> = (0..p)
-            .map(|r| Arc::new(Mutex::new(RankProfile::new(r))))
+        let run = Self::launch(p, &FaultPlan::none(), trace, f);
+        let results = run
+            .outcomes
+            .into_iter()
+            .map(|out| out.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
             .collect();
-        let metrics: Vec<Arc<Mutex<MetricsRegistry>>> = (0..p)
-            .map(|_| Arc::new(Mutex::new(MetricsRegistry::new())))
-            .collect();
-        let flights: Vec<Arc<Mutex<FlightRecorder>>> = (0..p)
-            .map(|r| Arc::new(Mutex::new(FlightRecorder::new(r))))
-            .collect();
-        let telemetry = crate::telemetry::global();
-        let mut rank_tels: Vec<Option<crate::telemetry::RankTelemetry>> = telemetry
-            .map(|t| t.begin_run(p).into_iter().map(Some).collect())
-            .unwrap_or_default();
-
-        let results: Vec<R> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..p)
-                .map(|rank| {
-                    let group = Arc::clone(&group);
-                    let profile = Arc::clone(&profiles[rank]);
-                    let registry = Arc::clone(&metrics[rank]);
-                    let flight = Arc::clone(&flights[rank]);
-                    let tel = rank_tels.get_mut(rank).and_then(Option::take);
-                    let f = &f;
-                    scope.spawn(move || {
-                        let mut comm =
-                            Comm::new(group, rank, Arc::clone(&profile), registry, flight, trace);
-                        if let Some(t) = tel {
-                            comm.set_telemetry(t);
-                        }
-                        let out = f(&mut comm);
-                        profile.lock().finish();
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(e) => std::panic::resume_unwind(e),
-                })
-                .collect()
-        });
-
-        if let Some(t) = telemetry {
-            // Seal the run: the endpoint keeps serving this final state.
-            let _ = t.end_run();
-        }
-        let profiles = unwrap_arcs(profiles, |p| p.snapshot());
-        let metrics = unwrap_arcs(metrics, |m| m.clone());
-        let flights = unwrap_arcs(flights, |fl| fl.clone());
         RunOutput {
             results,
-            profiles,
-            metrics,
-            flights,
+            profiles: run.profiles,
+            metrics: run.metrics,
+            flights: run.flights,
         }
     }
 
@@ -230,6 +194,73 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,
     {
+        let Launched {
+            outcomes,
+            profiles,
+            metrics,
+            flights,
+            board,
+        } = Self::launch(p, plan, trace, f);
+        let results: Vec<Result<R, RankFailure>> = outcomes
+            .into_iter()
+            .enumerate()
+            .map(|(rank, out)| {
+                out.map_err(|payload| {
+                    // Under an active plan the board holds the rank's first
+                    // cause, which may predate the panic (an injected crash).
+                    let (parked, cause) = board.failure_of(rank).map_or_else(
+                        || (None, panic_cause(payload.as_ref())),
+                        |info| (info.parked, info.cause),
+                    );
+                    RankFailure {
+                        world_rank: rank,
+                        parked,
+                        cause,
+                    }
+                })
+            })
+            .collect();
+
+        // Failed ranks get their flight-recorder tail embedded: the last few
+        // events before death, straight from the ring.
+        let hang_report = results.iter().any(Result::is_err).then(|| HangReport {
+            entries: (0..p)
+                .map(|rank| {
+                    let fail = results[rank].as_ref().err();
+                    HangEntry {
+                        world_rank: rank,
+                        failure: fail.map(|f| f.cause.clone()),
+                        parked: fail
+                            .and_then(|f| f.parked.clone().or_else(|| board.parked_of(rank))),
+                        flight_tail: fail.map_or_else(Vec::new, |_| {
+                            flights[rank].tail_strings(HANG_TAIL_EVENTS)
+                        }),
+                    }
+                })
+                .collect(),
+        });
+
+        TryRunOutput {
+            results,
+            profiles,
+            metrics,
+            flights,
+            hang_report,
+        }
+    }
+
+    /// The one run path behind every entry point: creates the group and the
+    /// per-rank sinks (profile, metrics, flight ring, telemetry), runs `f`
+    /// on `p` rank threads with each rank's panic caught, seals the
+    /// telemetry run, and hands back every rank's outcome and sinks.
+    ///
+    /// Only a non-empty `plan` gives the ranks a fault context, which makes
+    /// receives poll the failure board and ranks report to it on exit.
+    fn launch<R, F>(p: usize, plan: &FaultPlan, trace: TraceConfig, f: F) -> Launched<R>
+    where
+        R: Send,
+        F: Fn(&mut Comm) -> R + Send + Sync,
+    {
         assert!(p > 0, "need at least one rank");
         let group = GroupShared::new((0..p).collect());
         let profiles: Vec<Arc<Mutex<RankProfile>>> = (0..p)
@@ -249,7 +280,7 @@ impl World {
             .map(|t| t.begin_run(p).into_iter().map(Some).collect())
             .unwrap_or_default();
 
-        let outcomes: Vec<Result<R, String>> = std::thread::scope(|scope| {
+        let outcomes = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..p)
                 .map(|rank| {
                     let group = Arc::clone(&group);
@@ -272,99 +303,41 @@ impl World {
                         let out =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
                         profile.lock().finish();
-                        match out {
-                            Ok(r) => {
-                                if inject {
-                                    board.mark_done(rank);
-                                }
-                                Ok(r)
-                            }
-                            Err(payload) => {
-                                let cause = panic_cause(payload.as_ref());
-                                if inject {
-                                    // Injected crashes already marked the board
-                                    // (first cause wins); this covers user panics.
-                                    board.mark_failed(FailureInfo {
-                                        world_rank: rank,
-                                        parked: board.parked_of(rank),
-                                        cause: cause.clone(),
-                                    });
-                                }
-                                Err(cause)
-                            }
+                        match &out {
+                            Ok(_) if inject => board.mark_done(rank),
+                            // Injected crashes already marked the board
+                            // (first cause wins); this covers user panics.
+                            Err(payload) if inject => board.mark_failed(FailureInfo {
+                                world_rank: rank,
+                                parked: board.parked_of(rank),
+                                cause: panic_cause(payload.as_ref()),
+                            }),
+                            _ => {}
                         }
+                        out
                     })
                 })
                 .collect();
+            // A join error is only reachable if profile bookkeeping itself
+            // panicked.
             handles
                 .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    // Only reachable if profile bookkeeping itself panicked.
-                    Err(e) => Err(panic_cause(e.as_ref())),
-                })
+                .map(|h| h.join().and_then(|out| out))
                 .collect()
         });
 
         if let Some(t) = telemetry {
-            // Seal even a partly-failed run: crashed ranks' rings were
+            // Seal the run, even a partly-failed one: the endpoint keeps
+            // serving this final state, and crashed ranks' rings were
             // drained up to the collective that killed them.
             let _ = t.end_run();
         }
-        let profiles: Vec<RankProfile> = unwrap_arcs(profiles, |p| p.snapshot());
-        let metrics: Vec<MetricsRegistry> = unwrap_arcs(metrics, |m| m.clone());
-        let flights: Vec<FlightRecorder> = unwrap_arcs(flights, |fl| fl.clone());
-
-        let results: Vec<Result<R, RankFailure>> = outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(rank, out)| {
-                out.map_err(|cause| match board.failure_of(rank) {
-                    Some(info) => RankFailure {
-                        world_rank: rank,
-                        parked: info.parked,
-                        cause: info.cause,
-                    },
-                    None => RankFailure {
-                        world_rank: rank,
-                        parked: None,
-                        cause,
-                    },
-                })
-            })
-            .collect();
-
-        let hang_report = if results.iter().any(|r| r.is_err()) {
-            // Failed ranks get their flight-recorder tail embedded: the
-            // last few events before death, straight from the ring.
-            Some(HangReport {
-                entries: (0..p)
-                    .map(|rank| match &results[rank] {
-                        Ok(_) => HangEntry {
-                            world_rank: rank,
-                            failure: None,
-                            parked: None,
-                            flight_tail: Vec::new(),
-                        },
-                        Err(fail) => HangEntry {
-                            world_rank: rank,
-                            failure: Some(fail.cause.clone()),
-                            parked: fail.parked.clone().or_else(|| board.parked_of(rank)),
-                            flight_tail: flights[rank].tail_strings(HANG_TAIL_EVENTS),
-                        },
-                    })
-                    .collect(),
-            })
-        } else {
-            None
-        };
-
-        TryRunOutput {
-            results,
-            profiles,
-            metrics,
-            flights,
-            hang_report,
+        Launched {
+            outcomes,
+            profiles: unwrap_arcs(profiles, |p| p.snapshot()),
+            metrics: unwrap_arcs(metrics, |m| m.clone()),
+            flights: unwrap_arcs(flights, |fl| fl.clone()),
+            board,
         }
     }
 }

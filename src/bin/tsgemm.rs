@@ -32,7 +32,9 @@ commands:
   generate   --kind web|er|rmat --scale N [--deg D] --out FILE
   convert    --in FILE --out FILE            (.mtx <-> .bin by extension)
   multiply   --matrix FILE [--d N] [--sparsity S] [-p P]
-             [--algo ts|petsc|summa2d|summa3d] [--verify]
+             [--algo ts|petsc|summa2d|summa3d] [--layers L] [--verify]
+             (summa2d: P a perfect square; summa3d: L divides P and
+             P/L is a perfect square)
   bfs        --matrix FILE [--sources N] [-p P]
   triangles  --matrix FILE [-p P]
   mcl        --matrix FILE [-p P] [--inflation F]
@@ -79,6 +81,18 @@ fn required<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str
         .get(key)
         .map(|s| s.as_str())
         .ok_or_else(|| format!("missing required flag --{key}"))
+}
+
+/// Reads `-p`, refusing a rank count the runtime cannot start.
+fn ranks(flags: &HashMap<String, String>) -> Result<usize, String> {
+    match get(flags, "p", 8usize)? {
+        0 => Err("-p must be at least 1".into()),
+        p => Ok(p),
+    }
+}
+
+fn is_square(n: usize) -> bool {
+    n.isqrt() * n.isqrt() == n
 }
 
 fn load(path: &str) -> Result<Coo<f64>, String> {
@@ -152,7 +166,7 @@ fn cmd_multiply(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     let d: usize = get(flags, "d", 128usize)?;
     let sparsity: f64 = get(flags, "sparsity", 0.8f64)?;
-    let p: usize = get(flags, "p", 8usize)?;
+    let p = ranks(flags)?;
     let algo = flags.get("algo").map(|s| s.as_str()).unwrap_or("ts");
     let verify = flags.contains_key("verify");
     let bcoo = gen::random_tall(n, d, sparsity, 7);
@@ -211,6 +225,9 @@ fn cmd_multiply(flags: &HashMap<String, String>) -> Result<(), String> {
             (out.results.iter().map(|r| r.0).sum::<u64>(), out.profiles)
         }
         "summa2d" => {
+            if !is_square(p) {
+                return Err(format!("--algo summa2d needs a perfect-square -p, got {p}"));
+            }
             let out = World::run(p, |comm| {
                 tsgemm::baselines::summa2d::summa2d::<PlusTimesF64>(
                     comm,
@@ -226,6 +243,12 @@ fn cmd_multiply(flags: &HashMap<String, String>) -> Result<(), String> {
         }
         "summa3d" => {
             let layers: usize = get(flags, "layers", if p >= 16 { 4 } else { 1 })?;
+            if layers == 0 || !p.is_multiple_of(layers) || !is_square(p / layers) {
+                return Err(format!(
+                    "--algo summa3d needs --layers dividing -p with p/layers a \
+                     perfect square, got p={p}, layers={layers}"
+                ));
+            }
             let out = World::run(p, |comm| {
                 tsgemm::baselines::summa3d::summa3d::<PlusTimesF64>(
                     comm,
@@ -251,7 +274,7 @@ fn cmd_bfs(flags: &HashMap<String, String>) -> Result<(), String> {
     let acoo = load(required(flags, "matrix")?)?.map_values(|_| true);
     let n = acoo.nrows();
     let d: usize = get(flags, "sources", 64usize)?;
-    let p: usize = get(flags, "p", 8usize)?;
+    let p = ranks(flags)?;
     let (_, sources) = gen::init_frontier(n, d.min(n), 11);
     let out = World::run(p, |comm| {
         let dist = BlockDist::new(n, p);
@@ -293,7 +316,7 @@ fn cmd_triangles(flags: &HashMap<String, String>) -> Result<(), String> {
             .map(|&(r, c, _)| (r, c, 1.0))
             .collect::<Vec<(Idx, Idx, f64)>>(),
     );
-    let p: usize = get(flags, "p", 8usize)?;
+    let p = ranks(flags)?;
     let out = World::run(p, |comm| {
         let dist = BlockDist::new(n, p);
         let a = DistCsr::from_global_coo::<PlusTimesF64>(&clean, dist, comm.rank(), n);
@@ -309,7 +332,7 @@ fn cmd_mcl(flags: &HashMap<String, String>) -> Result<(), String> {
     let raw = load(required(flags, "matrix")?)?;
     let n = raw.nrows();
     let sym = gen::symmetrize(&raw);
-    let p: usize = get(flags, "p", 8usize)?;
+    let p = ranks(flags)?;
     let inflation: f64 = get(flags, "inflation", 2.0f64)?;
     let out = World::run(p, |comm| {
         let dist = BlockDist::new(n, p);

@@ -22,7 +22,11 @@ use tsgemm::sparse::spgemm::{spgemm, AccumChoice};
 use tsgemm::sparse::{Csr, PlusTimesF64};
 
 fn temp_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tsgemm-fi-{label}-{}", std::process::id()));
+    // pid + a process-wide counter: tests run on parallel threads of one
+    // process, so the pid alone does not keep their directories apart.
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("tsgemm-fi-{label}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -30,7 +30,10 @@ fn fault_free_run_round_trips_through_all_reports() {
         ts_spgemm::<PlusTimesF64>(comm, &a, &ac, &b, &TsConfig::default()).1
     });
 
-    let dir = std::env::temp_dir().join(format!("tsgemm-inspect-e2e-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "tsgemm-fault_free_run_round_trips_through_all_reports-{}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let (trace_path, metrics_path) = write_trace_files(&dir, &out.profiles, &out.metrics).unwrap();
     write_flight_jsonl(&dir, &out.flights).unwrap();

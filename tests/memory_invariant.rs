@@ -195,7 +195,17 @@ fn flight_recording_allocates_nothing_per_event() {
 
     let mut rec = FlightRecorder::with_capacity(0, 256);
     alloc::set_enabled(true);
-    let before = alloc::alloc_count();
+    // Recording is single-threaded, so count this thread's allocations
+    // only: the test harness allocates on its own threads (reporting the
+    // previous test, spawning the next) while this one runs.
+    let before = alloc::thread_alloc_count();
+    drop(std::hint::black_box(Box::new(before)));
+    assert_eq!(
+        alloc::thread_alloc_count(),
+        before + 1,
+        "the per-thread count must see this thread's allocations"
+    );
+    let before = before + 1;
     for i in 0..10_000u64 {
         rec.record(
             "ts:bfetch",
@@ -214,7 +224,7 @@ fn flight_recording_allocates_nothing_per_event() {
             },
         );
     }
-    let delta = alloc::alloc_count() - before;
+    let delta = alloc::thread_alloc_count() - before;
     alloc::set_enabled(false);
 
     assert_eq!(rec.total_recorded(), 20_000);

@@ -82,7 +82,10 @@ fn crash_leaves_failed_collective_in_flight_ring_and_artifacts_stay_valid() {
 
     // Artifacts from the partial run: flight.jsonl carries the failed
     // seq/tag, and trace.json still parses as strict JSON.
-    let dir = std::env::temp_dir().join(format!("tsgemm-fltcrash-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "tsgemm-crash_leaves_failed_collective_in_flight_ring-{}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let (trace_path, metrics_path) = write_trace_files(&dir, &out.profiles, &out.metrics).unwrap();
     let flight_path = write_flight_jsonl(&dir, &out.flights).unwrap();
