@@ -13,8 +13,8 @@
 //! ```
 //!
 //! `<trace-dir>` is a directory holding `trace.json` + `metrics.jsonl` as
-//! written by `write_trace_files` (and optionally `flight.jsonl`). `<addr>`
-//! is the `TSGEMM_TELEMETRY_ADDR` endpoint of a running job.
+//! written by `write_trace_files`. `<addr>` is the `TSGEMM_TELEMETRY_ADDR`
+//! endpoint of a running job.
 //!
 //! Exit codes: 0 ok; 1 gate failed (regression, drift over tolerance, lint
 //! error); 2 usage or I/O error.
@@ -136,13 +136,7 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
             let dir = trace_dir(&args)?;
             let events = load_trace(&dir.join("trace.json"))?;
             let ranks = load_metrics_jsonl(&dir.join("metrics.jsonl"))?;
-            let mut rep = lint::lint(&ranks, &events);
-            // flight.jsonl is optional; when present, flag truncated tags that
-            // may collide in the 23-byte inline buffer.
-            let flight = dir.join("flight.jsonl");
-            if let Ok(body) = std::fs::read_to_string(&flight) {
-                rep.warnings.extend(lint::lint_flight_jsonl(&body));
-            }
+            let rep = lint::lint(&ranks, &events);
             print!("{}", lint::render(&rep));
             Ok(if rep.ok() {
                 ExitCode::SUCCESS

@@ -12,7 +12,7 @@
 //! * [`regress`] — baseline-vs-current bench comparison with a tolerance,
 //!   nonzero exit on regression (the CI perf gate);
 //! * [`lint`] — cross-artifact consistency (every metrics phase must appear
-//!   in the trace, truncated flight tags are flagged);
+//!   in the trace);
 //! * [`html`] — a self-contained HTML report of all of the above;
 //! * [`prom`] — Prometheus text-exposition lint for the live telemetry
 //!   endpoint (the CI scrape gate);

@@ -59,34 +59,6 @@ pub fn lint(ranks: &[RankMetrics], events: &[TraceEvent]) -> LintReport {
     report
 }
 
-/// Lints `flight.jsonl` for truncated tags: the flight recorder stores tags
-/// in a 23-byte inline array, so two distinct long tags can collide after
-/// the cut and the postmortem ring would silently conflate their events.
-/// Each distinct truncated tag yields one warning.
-pub fn lint_flight_jsonl(body: &str) -> Vec<String> {
-    let mut truncated: BTreeSet<String> = BTreeSet::new();
-    for line in body.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(v) = crate::parse(line) else { continue };
-        if v.get("truncated").and_then(crate::Json::as_bool) == Some(true) {
-            if let Some(tag) = v.get("tag").and_then(crate::Json::as_str) {
-                truncated.insert(tag.to_string());
-            }
-        }
-    }
-    truncated
-        .into_iter()
-        .map(|tag| {
-            format!(
-                "flight tag {tag:?} was truncated to the 23-byte inline limit; \
-                 distinct longer tags sharing this prefix collide in flight.jsonl"
-            )
-        })
-        .collect()
-}
-
 /// Renders the lint result.
 pub fn render(report: &LintReport) -> String {
     let mut out = String::new();

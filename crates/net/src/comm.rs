@@ -24,13 +24,15 @@
 //! `Comm::exchange`: it takes a send plan (who gets which payload) and a
 //! receive plan (where each arriving payload goes), and is the only place
 //! that consults the fault plan, takes a sequence number, tampers with
-//! payloads, and records a collective's bytes.
+//! payloads, and records a collective's bytes — into the rank's one
+//! [`EventLog`], of which profiles, flight rings and live telemetry are
+//! views.
 
 use crate::fault::{CommError, FailureInfo, FaultCtx, FaultKind, ParkedPosition};
-use crate::flight::{FlightEventKind, FlightRecorder, FlightTag};
+use crate::flight::FlightEventKind;
+use crate::log::{CollMeta, EventKind, EventLog};
 use crate::metrics::MetricsRegistry;
-use crate::stats::{CollKind, CollectiveRecord, GroupInfo, RankProfile};
-use crate::telemetry::{RankTelemetry, TelEventKind};
+use crate::stats::{CollKind, GroupInfo};
 use crate::trace::TraceConfig;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -170,6 +172,8 @@ struct Entered<'a> {
     seq: u64,
     kind: CollKind,
     tag: &'a str,
+    /// The tag's id in the rank's event log.
+    tag_id: u32,
     /// Modeled straggler delay to attach to this collective's record.
     delay_secs: f64,
     /// Payload tampering to apply to outgoing sends.
@@ -226,57 +230,50 @@ pub struct Comm {
     split_gen: u64,
     /// Out-of-order messages parked until their source is being drained.
     pending: Vec<VecDeque<Msg>>,
-    profile: Arc<Mutex<RankProfile>>,
+    /// The rank's event log, shared with sub-communicators and span guards.
+    log: EventLog,
+    /// This group's id in the log's group table.
+    group_id: u32,
+    /// The completion record of the collective in flight (its edges, then
+    /// the rest); kept between collectives so recording allocates nothing.
+    record: Vec<EventKind>,
     /// The rank's metrics registry (shared with sub-communicators); only
     /// populated when [`Comm::trace_on`] — collectives never touch it.
     metrics: Arc<Mutex<MetricsRegistry>>,
-    /// Always-on flight recorder (shared with sub-communicators): every
-    /// collective logs a posted/completed event pair into the fixed ring,
-    /// and algorithms add retry/mode/step markers via
-    /// [`Comm::flight_record`].
-    flight: Arc<Mutex<FlightRecorder>>,
     /// Gate for algorithm-level trace instrumentation.
     trace: TraceConfig,
     /// Fault-injection context; `None` outside `World::try_run` (and for
     /// empty fault plans), which keeps every hot path exactly as fast and
     /// as deterministic as an uninstrumented run.
     fault: Option<FaultCtx>,
-    /// Live-telemetry producer handle; `None` unless `TSGEMM_TELEMETRY_ADDR`
-    /// is set, so an untelemetered run pays one branch per event site.
-    telemetry: Option<RankTelemetry>,
 }
 
 impl Comm {
     pub(crate) fn new(
         group: Arc<GroupShared>,
         rank: usize,
-        profile: Arc<Mutex<RankProfile>>,
+        log: EventLog,
         metrics: Arc<Mutex<MetricsRegistry>>,
-        flight: Arc<Mutex<FlightRecorder>>,
         trace: TraceConfig,
     ) -> Self {
         let size = group.info.world_ranks.len();
         Self {
+            group_id: log.add_group(&group.info),
             group,
             rank,
             seq: 0,
             split_gen: 0,
             pending: (0..size).map(|_| VecDeque::new()).collect(),
-            profile,
+            log,
+            record: Vec::new(),
             metrics,
-            flight,
             trace,
             fault: None,
-            telemetry: None,
         }
     }
 
     pub(crate) fn set_fault(&mut self, ctx: FaultCtx) {
         self.fault = Some(ctx);
-    }
-
-    pub(crate) fn set_telemetry(&mut self, tel: RankTelemetry) {
-        self.telemetry = Some(tel);
     }
 
     /// True when this communicator runs under an active fault plan. Callers
@@ -309,19 +306,18 @@ impl Comm {
     /// Credits useful work to the current compute segment (the simulated
     /// equivalent of time spent in OpenMP kernels).
     pub fn add_flops(&self, flops: u64) {
-        self.profile.lock().add_flops(flops);
+        self.work(flops, 0);
     }
 
     /// Notes the compute working set of the kernel whose flops are being
-    /// credited (see [`RankProfile::note_working_set`]).
+    /// credited (max-merged into the current segment; see [`crate::Segment`]).
     pub fn note_working_set(&self, bytes: u64) {
-        self.profile.lock().note_working_set(bytes);
+        self.work(0, bytes);
     }
 
-    /// Read access to this rank's profile so far (e.g. for per-iteration
-    /// statistics inside applications).
-    pub fn with_profile<R>(&self, f: impl FnOnce(&RankProfile) -> R) -> R {
-        f(&self.profile.lock())
+    fn work(&self, flops: u64, ws_bytes: u64) {
+        let work = EventKind::Work { flops, ws_bytes };
+        self.log.append("", [(self.log.now(), work)]);
     }
 
     /// True when trace instrumentation is enabled for this run. Algorithm
@@ -334,7 +330,7 @@ impl Comm {
 
     /// Mutable access to this rank's metrics registry. Sub-communicators
     /// created by [`Comm::split`] share the parent's registry, mirroring how
-    /// they share the profile.
+    /// they share the event log.
     pub fn metrics<R>(&self, f: impl FnOnce(&mut MetricsRegistry) -> R) -> R {
         f(&mut self.metrics.lock())
     }
@@ -343,16 +339,16 @@ impl Comm {
     /// Callers obtain `started` from `Instant::now()` before the phase and
     /// should guard the whole pattern behind [`Comm::trace_on`].
     pub fn record_span(&self, tag: impl Into<String>, started: Instant) {
-        self.profile.lock().record_span(tag.into(), started);
+        self.record_span_between(tag, started, Instant::now());
     }
 
     /// Records a phase span with explicit endpoints, for intervals timed on
     /// worker threads and logged by the rank after the pool join (one
     /// Chrome-trace lane per distinct tag, e.g. `ts:kernel:t3`).
     pub fn record_span_between(&self, tag: impl Into<String>, started: Instant, ended: Instant) {
-        self.profile
-            .lock()
-            .record_span_between(tag.into(), started, ended);
+        let (open, close) = (self.log.secs(started), self.log.secs(ended));
+        let span = [(open, EventKind::SpanOpen), (close, EventKind::SpanClose)];
+        self.log.append(tag.into().as_str(), span);
     }
 
     /// Opens a drop-guard span: the span is recorded when the guard drops,
@@ -361,37 +357,27 @@ impl Comm {
     /// only runs when tracing is on, so a disabled trace pays no
     /// formatting/allocation cost.
     ///
-    /// The guard holds the profile handle, not `&self`, so `&mut self`
-    /// collectives can run while it is open.
+    /// The guard holds the log handle, not `&self`, so `&mut self`
+    /// collectives can run while it is open. Live telemetry follows the
+    /// span stack, so with telemetry on the guard is active even when
+    /// tracing is off.
     pub fn span(&self, tag: impl FnOnce() -> String) -> SpanGuard {
-        let trace_on = self.trace.on();
-        if !trace_on && self.telemetry.is_none() {
+        if !self.trace.on() && crate::telemetry::global().is_none() {
             return SpanGuard::inactive();
         }
-        let tag = tag();
-        // Telemetry tracks the live stack (for the sampling profiler and
-        // per-phase occupancy) even when trace recording is off.
-        let tel = self.telemetry.clone().map(|t| {
-            t.emit(&tag, TelEventKind::SpanPush);
-            (t, FlightTag::new(&tag))
-        });
+        let log = self.log.clone();
+        let tag = log.append(tag().as_str(), [(log.now(), EventKind::SpanOpen)]);
         SpanGuard {
-            inner: trace_on.then(|| (Arc::clone(&self.profile), tag, Instant::now())),
-            tel,
+            open: Some((log, tag)),
         }
     }
 
-    /// Records an event into this rank's flight ring (shared with
-    /// sub-communicators, and on even when tracing is off) *and* forwards
-    /// it to live telemetry when that is on, so the live view and the
-    /// postmortem ring never disagree. Collectives log their posted/done
-    /// pairs here; algorithms add retries, mode decisions and step markers.
+    /// Appends a flight-class event to this rank's event log (on even when
+    /// tracing is off): algorithms add retries, mode decisions and step
+    /// markers to the collectives' posted/done pairs.
     #[inline]
     pub fn flight_record(&self, tag: &str, kind: FlightEventKind) {
-        self.flight.lock().record(tag, kind);
-        if let Some(t) = &self.telemetry {
-            t.emit(tag, TelEventKind::Flight(kind));
-        }
+        self.log.record(tag, kind);
     }
 
     /// Enters a collective: logs `CollPosted`, consults the fault plan,
@@ -399,17 +385,18 @@ impl Comm {
     /// before the sequence number moves or anything is sent, so an
     /// immediate retry re-enters in lock-step with the group.
     fn enter<'a>(&mut self, kind: CollKind, tag: &'a str) -> Result<Entered<'a>, CommError> {
-        // Flight-record the posting *before* consulting the fault plan, so
-        // a crashed rank's ring ends with exactly the collective (seq, kind,
-        // tag) that killed it. Telemetry sees the same event in the same
-        // order, so a crashed rank's live snapshot agrees with its ring.
+        // Log the posting *before* consulting the fault plan, so a crashed
+        // rank's flight ring and live phase end with exactly the collective
+        // (seq, kind, tag) that killed it.
         let seq = self.seq;
-        self.flight_record(tag, FlightEventKind::CollPosted { seq, kind });
+        let posted = EventKind::Flight(FlightEventKind::CollPosted { seq, kind });
+        let tag_id = self.log.append(tag, [(self.log.now(), posted)]);
         let mut at = Entered {
             op: 0,
             seq,
             kind,
             tag,
+            tag_id,
             delay_secs: 0.0,
             tamper: None,
         };
@@ -488,43 +475,64 @@ impl Comm {
         if let Some(ctx) = &self.fault {
             ctx.board.set_parked(ctx.world_rank, at.parked());
         }
-        let inbox = &self.group.receivers[self.rank];
         loop {
+            let inbox = &self.group.receivers[self.rank];
             let got = match &self.fault {
                 Some(_) => inbox.recv_timeout(PARK_POLL),
                 None => inbox.recv().map_err(|_| RecvTimeoutError::Disconnected),
             };
-            let err = match got {
+            match got {
                 Ok(msg) if msg.src == src => return Ok(msg),
-                Ok(msg) => {
-                    self.pending[msg.src].push_back(msg);
-                    continue;
+                Ok(msg) => self.pending[msg.src].push_back(msg),
+                Err(err) => {
+                    if let Some(done) = self.wait_expired(src, at, err) {
+                        return done;
+                    }
                 }
-                Err(err) => err,
-            };
-            let peer_world = self.group.info.world_ranks[src];
-            let board = self.fault.as_ref().map(|ctx| &ctx.board);
-            let peer_cause = if let Some(info) = board.and_then(|b| b.failure_of(peer_world)) {
-                info.cause
-            } else if board.is_some_and(|b| b.is_done(peer_world)) {
-                "completed without a matching collective".to_string()
-            } else if err == RecvTimeoutError::Disconnected {
-                // Unreachable in practice: the senders live in the shared
-                // group state, which outlives every rank.
-                "mailbox disconnected".to_string()
-            } else {
-                continue;
-            };
-            let err = CommError::PeerExited {
-                rank: self.rank,
-                peer_world,
-                seq: at.seq,
-                kind: at.kind,
-                tag: at.tag.to_string(),
-                peer_cause,
-            };
-            return Err(self.fatal(err, at));
+            }
         }
+    }
+
+    /// Decides a receive from `src` whose wait just expired: `None` while
+    /// the peer may still send. Once the failure board says the peer failed
+    /// or finished, a message it sent before going away may already sit in
+    /// the inbox, so the inbox is drained without blocking first: `src`'s
+    /// message is returned and the others are parked. Only an empty-handed
+    /// drain reports [`CommError::PeerExited`].
+    fn wait_expired(
+        &mut self,
+        src: usize,
+        at: &Entered,
+        err: RecvTimeoutError,
+    ) -> Option<Result<Msg, CommError>> {
+        let peer_world = self.group.info.world_ranks[src];
+        let board = self.fault.as_ref().map(|ctx| &ctx.board);
+        let peer_cause = if let Some(info) = board.and_then(|b| b.failure_of(peer_world)) {
+            info.cause
+        } else if board.is_some_and(|b| b.is_done(peer_world)) {
+            "completed without a matching collective".to_string()
+        } else if err == RecvTimeoutError::Disconnected {
+            // Unreachable in practice: the senders live in the shared
+            // group state, which outlives every rank.
+            "mailbox disconnected".to_string()
+        } else {
+            return None;
+        };
+        while let Ok(msg) = self.group.receivers[self.rank].try_recv() {
+            if msg.src == src {
+                return Some(Ok(msg));
+            }
+            self.pending[msg.src].push_back(msg);
+        }
+        let err = CommError::PeerExited {
+            rank: self.rank,
+            peer_world,
+            seq: at.seq,
+            kind: at.kind,
+            tag: at.tag.to_string(),
+            peer_cause,
+        };
+        Some(Err(self.fatal(err, at)))
     }
 
     /// Unboxes a payload, verifying its type and, for buffers, its
@@ -563,10 +571,11 @@ impl Comm {
     /// 3. runs the receive plan: each source's payload, in group-rank
     ///    order, is checked and handed to `recv`, where `None` marks this
     ///    rank's own slot (so gathers and folds see group-rank order);
-    /// 4. makes the collective's one record: `CollDone` into the flight
-    ///    ring and telemetry, one telemetry `Edge` per destination, and the
-    ///    [`CollectiveRecord`], whose `uniform_bytes` is `uniform` (`None`:
-    ///    the bytes received, as at a broadcast's non-roots).
+    /// 4. makes the collective's one record: a single append to the event
+    ///    log of one `Edge` per destination, the rest of the
+    ///    [`crate::CollectiveRecord`] (whose `uniform_bytes` is `uniform`;
+    ///    `None`: the bytes received, as at a broadcast's non-roots), and
+    ///    `CollDone`.
     ///
     /// All sends precede all receives, so no rank waits on a peer that is
     /// itself waiting to send.
@@ -579,19 +588,17 @@ impl Comm {
         mut send: impl FnMut(usize) -> P,
         mut recv: impl FnMut(Option<P>),
     ) -> Result<(), CommError> {
-        let entered = Instant::now();
         let at = self.enter(kind, &tag)?;
         let seq = at.seq;
         let (to, from) = shape.routes(self.rank, self.size());
-        let mut bytes_to = Vec::new();
-        let fanout = to.len();
+        let mut sent = 0;
+        self.record.clear();
         for dst in to.filter(|&dst| dst != self.rank) {
             let payload = send(dst);
             if let Some(bytes) = payload.edge() {
-                if bytes_to.is_empty() {
-                    bytes_to.reserve_exact(fanout);
-                }
-                bytes_to.push((self.group.info.world_ranks[dst], bytes));
+                let dst = self.group.info.world_ranks[dst] as u32;
+                self.record.push(EventKind::Edge { dst, kind, bytes });
+                sent += bytes;
             }
             // The receiver half lives in `GroupShared`, which outlives every
             // rank, so a send cannot fail while the run is alive; a dead
@@ -623,35 +630,23 @@ impl Comm {
             recv(Some(payload));
         }
 
+        let meta = CollMeta {
+            group: self.group_id,
+            recv_msgs,
+            uniform_bytes: uniform.unwrap_or(received),
+            delay_secs: at.delay_secs,
+        };
         let done = FlightEventKind::CollDone {
             seq,
             kind,
-            sent: bytes_to.iter().map(|&(_, b)| b).sum(),
+            sent,
             recv: received,
         };
-        self.flight_record(&tag, done);
-        if let Some(tel) = &self.telemetry {
-            // One matrix edge per destination; `bytes_to` is already keyed
-            // by world rank, which is what the rank×rank matrix indexes.
-            for &(dst, bytes) in &bytes_to {
-                let dst = dst as u32;
-                tel.emit(&tag, TelEventKind::Edge { dst, kind, bytes });
-            }
-        }
-        let injected_delay_secs = at.delay_secs;
-        let rec = CollectiveRecord {
-            kind,
-            tag,
-            group: Arc::clone(&self.group.info),
-            bytes_to,
-            bytes_received: received,
-            recv_msgs,
-            uniform_bytes: uniform.unwrap_or(received),
-            wait_secs: entered.elapsed().as_secs_f64(),
-            injected_delay_secs,
-            entered_secs: 0.0, // set by end_segment from the profile epoch
-        };
-        self.profile.lock().end_segment(rec, entered);
+        self.record
+            .extend([EventKind::Coll(meta), EventKind::Flight(done)]);
+        let t = self.log.now();
+        self.log
+            .append(at.tag_id, self.record.iter().map(|&e| (t, e)));
         Ok(())
     }
 
@@ -927,21 +922,12 @@ impl Comm {
                     .or_insert_with(|| GroupShared::new(world_ranks)),
             )
         };
-        let mut sub = Comm::new(
-            shared,
-            my_new_rank,
-            Arc::clone(&self.profile),
-            Arc::clone(&self.metrics),
-            Arc::clone(&self.flight),
-            self.trace,
-        );
+        let metrics = Arc::clone(&self.metrics);
+        let mut sub = Comm::new(shared, my_new_rank, self.log.clone(), metrics, self.trace);
         // A rank's splits share its fault context: the collective counter
         // keeps running across communicators, so "crash at collective #k"
         // means the k-th collective the rank enters anywhere.
         sub.fault = self.fault.clone();
-        // Splits also share the telemetry ring — all of a rank's
-        // communicators live on one thread, preserving single-producer.
-        sub.telemetry = self.telemetry.clone();
         sub
     }
 }
@@ -952,25 +938,20 @@ impl Comm {
 /// scope; `let _ = comm.span(...)` drops — and records — immediately.
 #[must_use = "the span closes when the guard drops; bind it to a named variable"]
 pub struct SpanGuard {
-    inner: Option<(Arc<Mutex<RankProfile>>, String, Instant)>,
-    /// Telemetry half: pops the live span stack on drop (pushed in
-    /// [`Comm::span`]), independent of whether trace recording is on.
-    tel: Option<(RankTelemetry, FlightTag)>,
+    /// The log the span opened in, and its tag id there.
+    open: Option<(EventLog, u32)>,
 }
 
 impl SpanGuard {
     /// A guard that records nothing (what [`Comm::span`] returns with
-    /// tracing off).
+    /// tracing and telemetry off).
     pub fn inactive() -> Self {
-        Self {
-            inner: None,
-            tel: None,
-        }
+        Self { open: None }
     }
 
     /// True when dropping this guard will record a span.
     pub fn is_active(&self) -> bool {
-        self.inner.is_some() || self.tel.is_some()
+        self.open.is_some()
     }
 
     /// Closes the span now (equivalent to dropping the guard).
@@ -979,18 +960,78 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some((profile, tag, started)) = self.inner.take() {
-            profile.lock().record_span(tag, started);
-        }
-        if let Some((tel, tag)) = self.tel.take() {
-            tel.emit_tag(tag, TelEventKind::SpanPop);
+        if let Some((log, tag)) = self.open.take() {
+            log.append(tag, [(log.now(), EventKind::SpanClose)]);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+    use crate::fault::{FailureBoard, FaultPlan};
     use crate::world::World;
+
+    /// Rank 0 of a fault-aware 2-rank group, parked on barrier #0.
+    fn parked_rank0() -> (Comm, Arc<GroupShared>, Arc<FailureBoard>) {
+        let group = GroupShared::new(vec![0, 1]);
+        let board = FailureBoard::new();
+        let log = EventLog::new(0);
+        let trace = TraceConfig::disabled();
+        let mut comm = Comm::new(Arc::clone(&group), 0, log, Arc::default(), trace);
+        let plan = Arc::new(FaultPlan::none());
+        comm.set_fault(FaultCtx::new(plan, Arc::clone(&board), 0));
+        board.mark_failed(FailureInfo {
+            world_rank: 1,
+            parked: None,
+            cause: "peer crashed".into(),
+        });
+        (comm, group, board)
+    }
+
+    fn barrier0() -> Entered<'static> {
+        Entered {
+            op: 0,
+            seq: 0,
+            kind: CollKind::Barrier,
+            tag: "b",
+            tag_id: 0,
+            delay_secs: 0.0,
+            tamper: None,
+        }
+    }
+
+    #[test]
+    fn expired_wait_takes_a_message_the_exited_peer_already_sent() {
+        // The race: the wait times out, the peer sends and then fails. The
+        // message is in the inbox by the time the board says so.
+        let (mut comm, group, _board) = parked_rank0();
+        let msg = |src| Msg {
+            src,
+            seq: 0,
+            kind: CollKind::Barrier,
+            declared_len: None,
+            payload: Box::new(Token),
+        };
+        let _ = group.senders[0].send(msg(0));
+        let _ = group.senders[0].send(msg(1));
+        let got = comm.wait_expired(1, &barrier0(), RecvTimeoutError::Timeout);
+        assert!(matches!(got, Some(Ok(Msg { src: 1, seq: 0, .. }))));
+        assert_eq!(comm.pending[0].len(), 1, "other sources are parked");
+    }
+
+    #[test]
+    fn expired_wait_reports_the_exited_peer_once_the_inbox_is_empty() {
+        let (mut comm, _group, board) = parked_rank0();
+        let got = comm.wait_expired(1, &barrier0(), RecvTimeoutError::Timeout);
+        match got {
+            Some(Err(CommError::PeerExited { peer_cause, .. })) => {
+                assert_eq!(peer_cause, "peer crashed")
+            }
+            _ => panic!("expected PeerExited"),
+        }
+        assert!(board.failure_of(0).is_some(), "the failure cascades");
+    }
 
     #[test]
     fn alltoallv_exchanges_personalised_data() {

@@ -9,9 +9,9 @@
 //!   `allgatherv`, `bcast`, `allreduce`, `gatherv`, `barrier` and
 //!   `split` (sub-communicators for the SUMMA grids) — over typed in-memory
 //!   mailboxes;
-//! * every collective records exactly how many payload bytes moved between
-//!   which ranks ([`stats`]), so communication *volumes* are measured, not
-//!   modeled;
+//! * every collective logs exactly how many payload bytes moved between
+//!   which ranks into its rank's [`log::EventLog`], whose profile view
+//!   ([`stats`]) makes communication *volumes* measured, not modeled;
 //! * [`cost::CostModel`] converts those volumes into modeled elapsed time
 //!   with the same α–β machine model the paper uses for its complexity
 //!   analysis (§III-E), with distinct intra-/inter-node bandwidths and a
@@ -35,6 +35,7 @@ pub mod comm;
 pub mod cost;
 pub mod fault;
 pub mod flight;
+pub mod log;
 pub mod metrics;
 pub mod stats;
 pub mod telemetry;
@@ -48,15 +49,12 @@ pub use fault::{
     Trigger,
 };
 pub use flight::{
-    write_flight_jsonl, FlightEvent, FlightEventKind, FlightRecorder, FlightTag,
-    DEFAULT_FLIGHT_CAPACITY,
+    write_flight_jsonl, FlightEvent, FlightEventKind, FlightRecorder, DEFAULT_FLIGHT_CAPACITY,
 };
+pub use log::EventLog;
 pub use metrics::{Histogram, MetricValue, Metrics, MetricsRegistry};
 pub use stats::{CollKind, CollectiveRecord, PhaseSpan, RankProfile, Segment};
-pub use telemetry::{
-    MatrixSlice, RankSnapshot, RankTelemetry, TelEvent, TelEventKind, Telemetry, TelemetrySnapshot,
-    TELEMETRY_ADDR_ENV,
-};
+pub use telemetry::{MatrixSlice, RankSnapshot, Telemetry, TelemetrySnapshot, TELEMETRY_ADDR_ENV};
 pub use trace::{
     chrome_trace_json, phase_rollup, render_rollup, write_trace_files, PhaseRollup, TraceConfig,
 };

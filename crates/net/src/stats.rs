@@ -7,7 +7,6 @@
 //! what lets [`crate::cost`] assemble a modeled global timeline.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Which collective a record describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,7 +53,7 @@ pub struct CollectiveRecord {
     /// Modeled straggler delay injected by an active fault plan (zero in
     /// fault-free runs); priced by [`crate::CostModel::collective_cost`].
     pub injected_delay_secs: f64,
-    /// Seconds since the rank's profile epoch at which the rank entered the
+    /// Seconds since the rank's log epoch at which the rank entered the
     /// collective. Gives every record an absolute position on the rank's
     /// timeline, which is what the Chrome-trace export plots.
     pub entered_secs: f64,
@@ -72,10 +71,10 @@ impl CollectiveRecord {
 /// after the last collective).
 #[derive(Clone, Debug)]
 pub struct Segment {
-    /// Useful work reported by kernels via [`RankProfile::add_flops`].
+    /// Useful work reported by kernels via [`crate::Comm::add_flops`].
     pub flops: u64,
     /// Largest compute working set noted in this segment (bytes) via
-    /// [`RankProfile::note_working_set`]; the cost model slows flops down
+    /// [`crate::Comm::note_working_set`]; the cost model slows flops down
     /// when it exceeds the modeled cache (the §III-A locality effect).
     pub ws_bytes: u64,
     /// Measured wall-clock compute seconds in this segment.
@@ -84,118 +83,30 @@ pub struct Segment {
 }
 
 /// A named compute interval recorded by an algorithm (tile-loop phases like
-/// `"ts:kernel"`), positioned on the rank's timeline by seconds since the
-/// profile epoch. Spans are pure annotation: byte accounting and the cost
+/// `"ts:kernel"`), positioned on the rank's timeline by seconds since its
+/// log epoch. Spans are pure annotation: byte accounting and the cost
 /// model ignore them; the Chrome-trace export plots them as slices.
 #[derive(Clone, Debug)]
 pub struct PhaseSpan {
     /// Phase tag (same namespace as collective tags).
     pub tag: String,
-    /// Seconds since the profile epoch at which the span started.
+    /// Seconds since the rank's log epoch at which the span started.
     pub start_secs: f64,
-    /// Seconds since the profile epoch at which the span ended.
+    /// Seconds since the rank's log epoch at which the span ended.
     pub end_secs: f64,
 }
 
-/// The full log of one rank's run.
+/// One rank's run as bulk-synchronous segments plus traced spans, folded
+/// from the rank's event log after the rank returns.
 #[derive(Debug)]
 pub struct RankProfile {
     pub world_rank: usize,
     pub segments: Vec<Segment>,
     /// Algorithm-recorded phase spans (empty unless tracing is enabled).
     pub spans: Vec<PhaseSpan>,
-    pending_flops: u64,
-    pending_ws: u64,
-    mark: Instant,
-    /// Profile epoch: every timestamp in this profile is relative to it.
-    epoch: Instant,
 }
 
 impl RankProfile {
-    pub fn new(world_rank: usize) -> Self {
-        let now = Instant::now();
-        Self {
-            world_rank,
-            segments: Vec::new(),
-            spans: Vec::new(),
-            pending_flops: 0,
-            pending_ws: 0,
-            mark: now,
-            epoch: now,
-        }
-    }
-
-    /// Credits `flops` of useful work to the current compute segment.
-    pub fn add_flops(&mut self, flops: u64) {
-        self.pending_flops += flops;
-    }
-
-    /// Notes the working set a kernel streamed over (max-merged into the
-    /// current segment). Pair with [`RankProfile::add_flops`]: the cost
-    /// model charges those flops at a reduced rate once the working set
-    /// spills out of the modeled cache.
-    pub fn note_working_set(&mut self, bytes: u64) {
-        self.pending_ws = self.pending_ws.max(bytes);
-    }
-
-    /// Records a phase span that started at `started` and ends now.
-    pub fn record_span(&mut self, tag: String, started: Instant) {
-        self.record_span_between(tag, started, Instant::now());
-    }
-
-    /// Records a phase span with both endpoints supplied by the caller.
-    /// Lets worker threads time their own chunks and the owning rank log
-    /// them after the join (per-thread kernel lanes in the Chrome trace).
-    pub fn record_span_between(&mut self, tag: String, started: Instant, ended: Instant) {
-        self.spans.push(PhaseSpan {
-            tag,
-            start_secs: started.duration_since(self.epoch).as_secs_f64(),
-            end_secs: ended.duration_since(self.epoch).as_secs_f64(),
-        });
-    }
-
-    /// Closes the current compute segment with `coll` attached.
-    /// Called by `Comm` right after a collective completes; `entered` is the
-    /// instant the rank entered the collective.
-    pub(crate) fn end_segment(&mut self, mut coll: CollectiveRecord, entered: Instant) {
-        let compute_secs = entered.duration_since(self.mark).as_secs_f64();
-        coll.entered_secs = entered.duration_since(self.epoch).as_secs_f64();
-        self.segments.push(Segment {
-            flops: std::mem::take(&mut self.pending_flops),
-            ws_bytes: std::mem::take(&mut self.pending_ws),
-            compute_secs,
-            coll: Some(coll),
-        });
-        self.mark = Instant::now();
-    }
-
-    /// Flushes the trailing compute-only segment. Called once when the rank
-    /// function returns.
-    pub(crate) fn finish(&mut self) {
-        let compute_secs = self.mark.elapsed().as_secs_f64();
-        if self.pending_flops > 0 || compute_secs > 0.0 {
-            self.segments.push(Segment {
-                flops: std::mem::take(&mut self.pending_flops),
-                ws_bytes: std::mem::take(&mut self.pending_ws),
-                compute_secs,
-                coll: None,
-            });
-        }
-    }
-
-    /// Copy of the recorded data (used when a live handle still exists).
-    pub(crate) fn snapshot(&self) -> RankProfile {
-        RankProfile {
-            world_rank: self.world_rank,
-            segments: self.segments.clone(),
-            spans: self.spans.clone(),
-            pending_flops: 0,
-            pending_ws: 0,
-            mark: Instant::now(),
-            epoch: self.epoch,
-        }
-    }
-
     /// Total payload bytes this rank sent across all collectives.
     pub fn total_bytes_sent(&self) -> u64 {
         self.segments
@@ -240,54 +151,42 @@ pub fn bytes_sent_tagged(profiles: &[RankProfile], prefix: &str) -> u64 {
 mod tests {
     use super::*;
 
-    fn record(tag: &str, bytes: &[(usize, u64)]) -> CollectiveRecord {
-        CollectiveRecord {
-            kind: CollKind::AllToAllV,
-            tag: tag.to_string(),
-            group: Arc::new(GroupInfo {
-                world_ranks: vec![0, 1],
+    fn segment(tag: &str, bytes: &[(usize, u64)]) -> Segment {
+        Segment {
+            flops: 0,
+            ws_bytes: 0,
+            compute_secs: 0.0,
+            coll: Some(CollectiveRecord {
+                kind: CollKind::AllToAllV,
+                tag: tag.to_string(),
+                group: Arc::new(GroupInfo {
+                    world_ranks: vec![0, 1],
+                }),
+                bytes_to: bytes.to_vec(),
+                bytes_received: 0,
+                recv_msgs: 0,
+                uniform_bytes: 0,
+                wait_secs: 0.0,
+                injected_delay_secs: 0.0,
+                entered_secs: 0.0,
             }),
-            bytes_to: bytes.to_vec(),
-            bytes_received: 0,
-            recv_msgs: 0,
-            uniform_bytes: 0,
-            wait_secs: 0.0,
-            injected_delay_secs: 0.0,
-            entered_secs: 0.0,
         }
     }
 
     #[test]
-    fn segments_accumulate_flops() {
-        let mut p = RankProfile::new(0);
-        p.add_flops(100);
-        p.end_segment(record("a", &[(1, 10)]), Instant::now());
-        p.add_flops(50);
-        p.finish();
-        assert_eq!(p.segments.len(), 2);
-        assert_eq!(p.segments[0].flops, 100);
-        assert_eq!(p.segments[1].flops, 50);
-        assert_eq!(p.total_flops(), 150);
-    }
-
-    #[test]
     fn byte_accounting_by_tag() {
-        let mut p = RankProfile::new(0);
-        p.end_segment(record("phase:b", &[(1, 10), (2, 5)]), Instant::now());
-        p.end_segment(record("phase:c", &[(1, 7)]), Instant::now());
-        p.finish();
+        let p = RankProfile {
+            world_rank: 0,
+            segments: vec![
+                segment("phase:b", &[(1, 10), (2, 5)]),
+                segment("phase:c", &[(1, 7)]),
+            ],
+            spans: Vec::new(),
+        };
         assert_eq!(p.total_bytes_sent(), 22);
         assert_eq!(p.bytes_sent_tagged("phase:b"), 15);
         assert_eq!(p.bytes_sent_tagged("phase:c"), 7);
         assert_eq!(p.bytes_sent_tagged("phase:"), 22);
         assert_eq!(p.bytes_sent_tagged("other"), 0);
-    }
-
-    #[test]
-    fn finish_without_activity_records_time_only_segment() {
-        let mut p = RankProfile::new(3);
-        p.finish();
-        // Either empty or a single compute-only segment; never a collective.
-        assert!(p.segments.iter().all(|s| s.coll.is_none()));
     }
 }

@@ -1,4 +1,4 @@
-//! Live telemetry: per-rank lock-free event rings, a streaming aggregator,
+//! Live telemetry: a streaming aggregator over the per-rank event logs,
 //! and a zero-dependency scrape endpoint.
 //!
 //! Everything else in the observability stack (metrics registries, Chrome
@@ -11,22 +11,19 @@
 //!
 //! Design, hot path outwards:
 //!
-//! * **Per-rank SPSC ring** ([`EventRing`]) — a bounded Lamport queue of
-//!   `Copy` [`TelEvent`]s. The producer is the rank thread (all of a rank's
-//!   communicators, including [`crate::Comm::split`] children, share one
-//!   ring and live on one OS thread, so single-producer holds); the consumer
-//!   is the aggregator. A full ring drops the event and counts the drop —
-//!   recording never blocks and never allocates.
-//! * **Aggregator** — one background thread drains every ring at a fixed
-//!   cadence (`TSGEMM_TELEMETRY_SAMPLE_MS`, default 1 ms) and folds events
-//!   into rolling state: counter rates over a sliding window, live/peak
-//!   memory from [`crate::alloc`] when the counting allocator is active,
-//!   per-rank collective queue depth (posted − completed), and a full
-//!   rank×rank byte matrix split by collective kind *and* by symbolic mode
-//!   pick (`:bfetch` traffic is the local mode shipping B rows, `:cret` is
-//!   the remote mode returning partial C).
+//! * **Per-rank event log** ([`crate::EventLog`]) — ranks log nothing just
+//!   for telemetry: the live and post-mortem views read the same events.
+//! * **Aggregator** — one background thread reads every rank's log from a
+//!   cursor at a fixed cadence (`TSGEMM_TELEMETRY_SAMPLE_MS`, default 1 ms)
+//!   and folds the new events into rolling state: counter rates over a
+//!   sliding window, live/peak memory from [`crate::alloc`] when the
+//!   counting allocator is active, per-rank collective queue depth
+//!   (posted − completed), and a full rank×rank byte matrix split by
+//!   collective kind *and* by symbolic mode pick (`:bfetch` traffic is the
+//!   local mode shipping B rows, `:cret` is the remote mode returning
+//!   partial C). The log drops nothing, so `dropped_events` is always 0.
 //! * **Sampling profiler** — the same aggregator tick snapshots each rank's
-//!   live [`crate::SpanGuard`] stack (reconstructed from push/pop events)
+//!   live [`crate::SpanGuard`] stack (reconstructed from open/close events)
 //!   into folded-stack form, i.e. flamegraph input, with zero per-sample
 //!   cost on the rank threads.
 //! * **Scrape endpoint** — a `std::net::TcpListener` HTTP server (no
@@ -35,22 +32,19 @@
 //!
 //! The whole subsystem is gated on `TSGEMM_TELEMETRY_ADDR`: when the
 //! variable is unset, [`global`] returns `None` without constructing
-//! anything — not even the rings — so an untelemetered run pays exactly one
-//! `OnceLock` load per [`crate::World::run`] (pinned allocation-free in
+//! anything, so an untelemetered run pays exactly one `OnceLock` load per
+//! [`crate::World::run`] (pinned allocation-free in
 //! `tests/memory_invariant.rs`). Bind to port 0 (`127.0.0.1:0`) to let the
 //! OS pick a free port; [`Telemetry::addr`] reports the actual one.
 
 use crate::alloc;
-use crate::flight::{FlightEventKind, FlightTag};
+use crate::flight::FlightEventKind;
+use crate::log::{Event, EventKind, EventLog};
 use crate::metrics::{json_f64, json_string};
-use crate::stats::CollKind;
 use parking_lot::Mutex;
-use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
-use std::mem::MaybeUninit;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -62,154 +56,8 @@ pub const TELEMETRY_ADDR_ENV: &str = "TSGEMM_TELEMETRY_ADDR";
 /// milliseconds (default 1).
 pub const TELEMETRY_SAMPLE_ENV: &str = "TSGEMM_TELEMETRY_SAMPLE_MS";
 
-/// Events each rank's ring can hold before it starts dropping (a power of
-/// two; ~8k events absorb several full tile steps between 1 ms drains).
-pub const RING_CAPACITY: usize = 1 << 13;
-
 /// Width of the sliding window the aggregator computes rates over.
 const RATE_WINDOW: Duration = Duration::from_secs(5);
-
-/// How long [`Telemetry::sync`] is willing to wait for the aggregator.
-const SYNC_TIMEOUT: Duration = Duration::from_secs(5);
-
-// ---------------------------------------------------------------------------
-// Events
-// ---------------------------------------------------------------------------
-
-/// What a rank reports to the aggregator. All payloads are `Copy`.
-#[derive(Clone, Copy, Debug)]
-pub enum TelEventKind {
-    /// A flight-recorder event, forwarded verbatim (collective posted /
-    /// completed, retries, mode picks, tile-step markers).
-    Flight(FlightEventKind),
-    /// Sender-side bytes for one destination of one collective: this rank
-    /// moved `bytes` payload bytes to world rank `dst`. These populate the
-    /// rank×rank matrix.
-    Edge {
-        dst: u32,
-        kind: CollKind,
-        bytes: u64,
-    },
-    /// A [`crate::SpanGuard`] opened on this rank.
-    SpanPush,
-    /// The most recently opened live span on this rank closed.
-    SpanPop,
-}
-
-/// One ring entry.
-#[derive(Clone, Copy, Debug)]
-pub struct TelEvent {
-    /// World rank of the producer.
-    pub rank: u32,
-    /// Phase tag (inline, truncated like flight tags).
-    pub tag: FlightTag,
-    pub kind: TelEventKind,
-}
-
-// ---------------------------------------------------------------------------
-// SPSC ring
-// ---------------------------------------------------------------------------
-
-/// Bounded single-producer single-consumer ring of [`TelEvent`]s (Lamport
-/// queue). `push` runs on the rank thread and never blocks, allocates or
-/// spins; `pop` runs on the aggregator thread. Overflow drops the event and
-/// bumps a counter rather than stalling the run.
-pub struct EventRing {
-    slots: Box<[UnsafeCell<MaybeUninit<TelEvent>>]>,
-    /// Consumer position (only advanced by `pop`).
-    head: AtomicUsize,
-    /// Producer position (only advanced by `push`).
-    tail: AtomicUsize,
-    dropped: AtomicU64,
-}
-
-// Safety: `head`/`tail` ordering (release on publish, acquire on observe)
-// ensures a slot is only read after its write completed and only reused
-// after its read completed; the SPSC contract (one pushing thread, one
-// popping thread) is upheld by construction — each rank thread owns its
-// ring's producer side, the aggregator owns every consumer side.
-unsafe impl Sync for EventRing {}
-unsafe impl Send for EventRing {}
-
-impl EventRing {
-    fn new(capacity: usize) -> Self {
-        let slots = (0..capacity.max(2))
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self {
-            slots,
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Producer side. Returns `false` (and counts a drop) when full.
-    #[inline]
-    pub fn push(&self, ev: TelEvent) -> bool {
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) >= self.slots.len() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        let slot = &self.slots[tail % self.slots.len()];
-        // Safety: the slot is ours — the consumer will not read it until the
-        // tail store below publishes it, and cannot lap us (capacity check).
-        unsafe { (*slot.get()).write(ev) };
-        self.tail.store(tail.wrapping_add(1), Ordering::Release);
-        true
-    }
-
-    /// Consumer side.
-    #[inline]
-    pub fn pop(&self) -> Option<TelEvent> {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Acquire);
-        if head == tail {
-            return None;
-        }
-        let slot = &self.slots[head % self.slots.len()];
-        // Safety: tail's release store made this slot's write visible;
-        // TelEvent is Copy, so reading it out needs no drop bookkeeping.
-        let ev = unsafe { (*slot.get()).assume_init_read() };
-        self.head.store(head.wrapping_add(1), Ordering::Release);
-        Some(ev)
-    }
-
-    /// Events discarded because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-/// A rank's producer handle: clones share the same ring, so a rank's split
-/// sub-communicators and its span guards all feed one channel.
-#[derive(Clone)]
-pub struct RankTelemetry {
-    rank: u32,
-    ring: Arc<EventRing>,
-}
-
-impl RankTelemetry {
-    /// Emits one event (non-blocking; drops on overflow).
-    #[inline]
-    pub fn emit(&self, tag: &str, kind: TelEventKind) {
-        self.emit_tag(FlightTag::new(tag), kind);
-    }
-
-    /// [`RankTelemetry::emit`] with a pre-built tag (for drop paths that
-    /// must not allocate or re-encode).
-    #[inline]
-    pub fn emit_tag(&self, tag: FlightTag, kind: TelEventKind) {
-        self.ring.push(TelEvent {
-            rank: self.rank,
-            tag,
-            kind,
-        });
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Mode / kind classification
@@ -230,7 +78,8 @@ fn mode_index(tag: &str) -> usize {
     }
 }
 
-/// Collective kinds in a fixed order (matrix slices index into this).
+/// Collective kinds in [`crate::CollKind`] declaration order (matrix slices index
+/// into this with `kind as usize`).
 pub const KIND_NAMES: [&str; 7] = [
     "AllToAllV",
     "AllGatherV",
@@ -241,24 +90,16 @@ pub const KIND_NAMES: [&str; 7] = [
     "Split",
 ];
 
-fn kind_index(kind: CollKind) -> usize {
-    match kind {
-        CollKind::AllToAllV => 0,
-        CollKind::AllGatherV => 1,
-        CollKind::Bcast => 2,
-        CollKind::AllReduce => 3,
-        CollKind::GatherV => 4,
-        CollKind::Barrier => 5,
-        CollKind::Split => 6,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Aggregator state
 // ---------------------------------------------------------------------------
 
 #[derive(Clone, Debug, Default)]
 struct RankState {
+    /// How far the rank's log has been read.
+    cursor: usize,
+    /// The rank's tag table, as far as it has been read.
+    tags: Vec<Arc<str>>,
     last_phase: String,
     posted: u64,
     done: u64,
@@ -269,8 +110,8 @@ struct RankState {
     modes_remote: u64,
     bytes_sent: u64,
     bytes_recv: u64,
-    /// Live span stack, reconstructed from push/pop events.
-    stack: Vec<String>,
+    /// Live span stack (tag ids), reconstructed from open/close events.
+    stack: Vec<u32>,
     /// Aggregator ticks spent with each span (or `(no span)`) on top.
     occupancy: BTreeMap<String, u64>,
     /// `(t, cumulative bytes_sent)` samples inside [`RATE_WINDOW`].
@@ -282,7 +123,7 @@ struct AggState {
     run_id: u64,
     running: bool,
     epoch: Instant,
-    rings: Vec<Arc<EventRing>>,
+    logs: Vec<EventLog>,
     ranks: Vec<RankState>,
     /// `(kind index, mode index)` → row-major `p×p` byte matrix
     /// (`cells[src * p + dst]`).
@@ -294,18 +135,18 @@ struct AggState {
     window: VecDeque<(Instant, u64)>,
     mem_live: u64,
     mem_peak: u64,
-    dropped_drained: u64,
 }
 
 impl AggState {
-    fn new() -> Self {
+    /// The state of run `run_id` over `logs` (run 0: before any run).
+    fn new(run_id: u64, logs: &[EventLog]) -> Self {
         Self {
-            p: 0,
-            run_id: 0,
-            running: false,
+            p: logs.len(),
+            run_id,
+            running: run_id > 0,
             epoch: Instant::now(),
-            rings: Vec::new(),
-            ranks: Vec::new(),
+            logs: logs.to_vec(),
+            ranks: vec![RankState::default(); logs.len()],
             matrix: BTreeMap::new(),
             folded: BTreeMap::new(),
             ticks: 0,
@@ -313,18 +154,28 @@ impl AggState {
             window: VecDeque::new(),
             mem_live: 0,
             mem_peak: 0,
-            dropped_drained: 0,
         }
     }
 
-    fn apply(&mut self, ev: TelEvent) {
+    /// Folds in every event the ranks logged since the last drain.
+    fn drain(&mut self) {
+        let (logs, mut events) = (std::mem::take(&mut self.logs), Vec::new());
+        for (src, log) in logs.iter().enumerate() {
+            let rs = &mut self.ranks[src];
+            log.read(&mut rs.cursor, &mut rs.tags, &mut events);
+            for ev in events.drain(..) {
+                self.apply(src, ev);
+            }
+        }
+        self.logs = logs;
+    }
+
+    fn apply(&mut self, src: usize, ev: Event) {
         let p = self.p;
-        let Some(rs) = self.ranks.get_mut(ev.rank as usize) else {
-            return; // stale handle from a previous run
-        };
-        let tag = ev.tag.as_str();
+        let rs = &mut self.ranks[src];
+        let tag = &rs.tags[ev.tag as usize];
         match ev.kind {
-            TelEventKind::Flight(f) => {
+            EventKind::Flight(f) => {
                 rs.last_phase = tag.to_string();
                 match f {
                     FlightEventKind::CollPosted { .. } => rs.posted += 1,
@@ -346,18 +197,18 @@ impl AggState {
                     FlightEventKind::StepEnd { .. } => rs.steps_done += 1,
                 }
             }
-            TelEventKind::Edge { dst, kind, bytes } => {
-                let (src, dst) = (ev.rank as usize, dst as usize);
-                if src < p && dst < p {
-                    let key = (kind_index(kind), mode_index(tag));
-                    let cells = self.matrix.entry(key).or_insert_with(|| vec![0; p * p]);
-                    cells[src * p + dst] += bytes;
+            EventKind::Edge { dst, kind, bytes } if (dst as usize) < p => {
+                let key = (kind as usize, mode_index(tag));
+                let cells = self.matrix.entry(key).or_insert_with(|| vec![0; p * p]);
+                cells[src * p + dst as usize] += bytes;
+            }
+            EventKind::SpanOpen => rs.stack.push(ev.tag),
+            EventKind::SpanClose => {
+                if let Some(i) = rs.stack.iter().rposition(|&id| id == ev.tag) {
+                    rs.stack.remove(i);
                 }
             }
-            TelEventKind::SpanPush => rs.stack.push(tag.to_string()),
-            TelEventKind::SpanPop => {
-                rs.stack.pop();
-            }
+            _ => {}
         }
     }
 
@@ -366,38 +217,26 @@ impl AggState {
     fn sample(&mut self, now: Instant) {
         self.ticks += 1;
         for (rank, rs) in self.ranks.iter_mut().enumerate() {
-            let top = rs.stack.last().map(String::as_str).unwrap_or("(no span)");
+            let top = rs
+                .stack
+                .last()
+                .map_or("(no span)", |&id| &rs.tags[id as usize]);
             *rs.occupancy.entry(top.to_string()).or_insert(0) += 1;
             if !rs.stack.is_empty() {
                 let mut key = format!("rank {rank}");
-                for frame in &rs.stack {
+                for &frame in &rs.stack {
                     key.push(';');
-                    key.push_str(frame);
+                    key.push_str(&rs.tags[frame as usize]);
                 }
                 *self.folded.entry(key).or_insert(0) += 1;
             }
-            rs.window.push_back((now, rs.bytes_sent));
-            while rs
-                .window
-                .front()
-                .is_some_and(|&(t, _)| now.duration_since(t) > RATE_WINDOW)
-            {
-                rs.window.pop_front();
-            }
+            slide(&mut rs.window, now, rs.bytes_sent);
         }
-        self.window.push_back((now, self.total_bytes_sent));
-        while self
-            .window
-            .front()
-            .is_some_and(|&(t, _)| now.duration_since(t) > RATE_WINDOW)
-        {
-            self.window.pop_front();
-        }
+        slide(&mut self.window, now, self.total_bytes_sent);
         if alloc::counting_active() {
             self.mem_live = alloc::live_bytes();
             self.mem_peak = self.mem_peak.max(alloc::peak_bytes());
         }
-        self.dropped_drained = self.rings.iter().map(|r| r.dropped()).sum();
     }
 
     fn snapshot(&self) -> TelemetrySnapshot {
@@ -414,7 +253,7 @@ impl AggState {
             run_id: self.run_id,
             running: self.running,
             uptime_secs: self.epoch.elapsed().as_secs_f64(),
-            dropped_events: self.dropped_drained,
+            dropped_events: 0,
             mem_live_bytes: self.mem_live,
             mem_peak_bytes: self.mem_peak,
             total_bytes_sent: self.total_bytes_sent,
@@ -437,7 +276,11 @@ impl AggState {
                     bytes_sent: rs.bytes_sent,
                     bytes_recv: rs.bytes_recv,
                     send_rate_bps: rate(&rs.window),
-                    stack: rs.stack.clone(),
+                    stack: rs
+                        .stack
+                        .iter()
+                        .map(|&id| rs.tags[id as usize].to_string())
+                        .collect(),
                     occupancy: rs
                         .occupancy
                         .iter()
@@ -457,6 +300,18 @@ impl AggState {
                 .collect(),
             folded: self.folded.clone(),
         }
+    }
+}
+
+/// Adds a `(now, cumulative bytes)` sample to a rate window and drops the
+/// samples older than [`RATE_WINDOW`].
+fn slide(window: &mut VecDeque<(Instant, u64)>, now: Instant, bytes: u64) {
+    window.push_back((now, bytes));
+    while window
+        .front()
+        .is_some_and(|&(t, _)| now.duration_since(t) > RATE_WINDOW)
+    {
+        window.pop_front();
     }
 }
 
@@ -538,7 +393,8 @@ pub struct TelemetrySnapshot {
     /// False once [`Telemetry::end_run`] sealed the run.
     pub running: bool,
     pub uptime_secs: f64,
-    /// Events lost to ring overflow (0 in a healthy run).
+    /// Events lost before the aggregator read them: always 0, since it
+    /// reads the append-only logs (kept for schema stability).
     pub dropped_events: u64,
     pub mem_live_bytes: u64,
     pub mem_peak_bytes: u64,
@@ -616,7 +472,7 @@ impl TelemetrySnapshot {
         scalar(
             "tsgemm_telemetry_dropped_events_total",
             "counter",
-            "events lost to ring overflow",
+            "events lost before aggregation (always 0)",
             self.dropped_events.to_string(),
         );
         scalar(
@@ -897,9 +753,6 @@ struct Shared {
     addr: SocketAddr,
     sample_every: Duration,
     state: Mutex<AggState>,
-    /// Incremented by the aggregator after each complete drain+sample pass;
-    /// [`Telemetry::sync`] waits on it.
-    drain_gen: AtomicU64,
 }
 
 /// Handle to the process-wide telemetry service (aggregator + endpoint).
@@ -915,8 +768,7 @@ impl Telemetry {
         let shared = Arc::new(Shared {
             addr: listener.local_addr()?,
             sample_every: sample_every.max(Duration::from_micros(100)),
-            state: Mutex::new(AggState::new()),
-            drain_gen: AtomicU64::new(0),
+            state: Mutex::new(AggState::new(0, &[])),
         });
         let agg = Arc::clone(&shared);
         std::thread::Builder::new()
@@ -936,52 +788,24 @@ impl Telemetry {
         self.shared.addr
     }
 
-    /// Starts a run of `p` ranks: resets the aggregate state and hands out
-    /// one fresh producer ring per rank. Handles from earlier runs keep
-    /// working (their ring is simply no longer drained) but feed nothing.
-    pub fn begin_run(&self, p: usize) -> Vec<RankTelemetry> {
+    /// Starts a run over one event log per rank: resets the aggregate
+    /// state and reads the logs from their start on every tick. Logs of
+    /// earlier runs are no longer read.
+    pub fn begin_run(&self, logs: &[EventLog]) {
         let mut st = self.shared.state.lock();
-        let run_id = st.run_id + 1;
-        *st = AggState::new();
-        st.p = p;
-        st.run_id = run_id;
-        st.running = true;
-        st.rings = (0..p)
-            .map(|_| Arc::new(EventRing::new(RING_CAPACITY)))
-            .collect();
-        st.ranks = vec![RankState::default(); p];
-        st.rings
-            .iter()
-            .enumerate()
-            .map(|(rank, ring)| RankTelemetry {
-                rank: rank as u32,
-                ring: Arc::clone(ring),
-            })
-            .collect()
+        *st = AggState::new(st.run_id + 1, logs);
     }
 
-    /// Seals the current run: waits for the aggregator to drain everything
-    /// the ranks emitted, marks the run finished, and returns the final
+    /// Seals the current run: folds in everything the ranks logged, marks
+    /// the run finished, lets go of the logs, and returns the final
     /// snapshot. The endpoint keeps serving this state until the next
     /// [`Telemetry::begin_run`].
     pub fn end_run(&self) -> TelemetrySnapshot {
-        self.sync();
         let mut st = self.shared.state.lock();
+        st.drain();
         st.running = false;
+        st.logs.clear();
         st.snapshot()
-    }
-
-    /// Blocks until the aggregator has completed two full passes (so every
-    /// event pushed before this call has been folded in), or [`SYNC_TIMEOUT`].
-    pub fn sync(&self) {
-        let start_gen = self.shared.drain_gen.load(Ordering::Acquire);
-        let deadline = Instant::now() + SYNC_TIMEOUT;
-        while self.shared.drain_gen.load(Ordering::Acquire) < start_gen + 2 {
-            if Instant::now() > deadline {
-                return;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
     }
 
     /// A point-in-time view of the aggregate state.
@@ -994,24 +818,11 @@ fn aggregator_loop(shared: &Shared) {
     loop {
         {
             let mut st = shared.state.lock();
-            // Drain all rings, then take one sample tick. Bounded per ring
-            // per pass so a pathological producer cannot starve sampling.
-            let rings: Vec<Arc<EventRing>> = st.rings.clone();
-            for ring in &rings {
-                let mut budget = RING_CAPACITY;
-                while budget > 0 {
-                    match ring.pop() {
-                        Some(ev) => st.apply(ev),
-                        None => break,
-                    }
-                    budget -= 1;
-                }
-            }
+            st.drain();
             if st.running {
                 st.sample(Instant::now());
             }
         }
-        shared.drain_gen.fetch_add(1, Ordering::Release);
         std::thread::sleep(shared.sample_every);
     }
 }
@@ -1127,119 +938,52 @@ pub fn global() -> Option<&'static Telemetry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::CollKind;
 
     fn tel() -> Telemetry {
         Telemetry::bind("127.0.0.1:0", Duration::from_micros(200)).unwrap()
     }
 
-    fn ev(rank: u32, tag: &str, kind: TelEventKind) -> TelEvent {
-        TelEvent {
-            rank,
-            tag: FlightTag::new(tag),
-            kind,
+    /// Waits two aggregator ticks, so every event logged before the call
+    /// is folded in and open spans have been sampled.
+    fn wait_ticks(t: &Telemetry) {
+        let start = t.snapshot().ticks;
+        while t.snapshot().ticks < start + 2 {
+            std::thread::sleep(Duration::from_micros(200));
         }
     }
 
-    #[test]
-    fn ring_is_fifo_and_bounded() {
-        let r = EventRing::new(4);
-        for i in 0..6u64 {
-            r.push(ev(
-                0,
-                "t",
-                TelEventKind::Edge {
-                    dst: 0,
-                    kind: CollKind::Barrier,
-                    bytes: i,
-                },
-            ));
-        }
-        // Capacity 4: two pushes dropped.
-        assert_eq!(r.dropped(), 2);
-        let mut got = Vec::new();
-        while let Some(e) = r.pop() {
-            match e.kind {
-                TelEventKind::Edge { bytes, .. } => got.push(bytes),
-                _ => unreachable!(),
-            }
-        }
-        assert_eq!(got, vec![0, 1, 2, 3]);
-        assert!(r.pop().is_none());
+    /// Logs one event under `tag`, stamped now.
+    fn emit(log: &EventLog, tag: &str, kind: EventKind) {
+        log.append(tag, [(log.now(), kind)]);
     }
 
-    #[test]
-    fn ring_cross_thread_stress_preserves_order() {
-        let r = Arc::new(EventRing::new(256));
-        let n = 20_000u64;
-        let prod = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || {
-                for i in 0..n {
-                    while !r.push(ev(
-                        0,
-                        "s",
-                        TelEventKind::Edge {
-                            dst: 0,
-                            kind: CollKind::Barrier,
-                            bytes: i,
-                        },
-                    )) {
-                        std::hint::spin_loop();
-                    }
-                }
-            })
-        };
-        let mut expected = 0u64;
-        while expected < n {
-            if let Some(e) = r.pop() {
-                match e.kind {
-                    TelEventKind::Edge { bytes, .. } => {
-                        assert_eq!(bytes, expected);
-                        expected += 1;
-                    }
-                    _ => unreachable!(),
-                }
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        prod.join().unwrap();
-        // Note: `dropped` is not asserted — the producer's retry loop counts
-        // every full-ring attempt, which real (no-retry) emitters never do.
+    fn edge(dst: u32, kind: CollKind, bytes: u64) -> EventKind {
+        EventKind::Edge { dst, kind, bytes }
+    }
+
+    fn logs(p: usize) -> Vec<EventLog> {
+        (0..p).map(EventLog::new).collect()
     }
 
     #[test]
     fn aggregator_builds_matrix_and_stacks() {
         let t = tel();
-        let handles = t.begin_run(2);
-        handles[0].emit(
-            "ts:bfetch",
-            TelEventKind::Edge {
-                dst: 1,
-                kind: CollKind::AllToAllV,
-                bytes: 96,
-            },
-        );
-        handles[1].emit(
-            "ts:cret",
-            TelEventKind::Edge {
-                dst: 0,
-                kind: CollKind::AllToAllV,
-                bytes: 32,
-            },
-        );
-        handles[0].emit(
+        let handles = logs(2);
+        t.begin_run(&handles);
+        emit(&handles[0], "ts:bfetch", edge(1, CollKind::AllToAllV, 96));
+        emit(&handles[1], "ts:cret", edge(0, CollKind::AllToAllV, 32));
+        handles[0].record(
             "ts",
-            TelEventKind::Flight(FlightEventKind::CollPosted {
+            FlightEventKind::CollPosted {
                 seq: 0,
                 kind: CollKind::Barrier,
-            }),
+            },
         );
-        handles[0].emit("ts:kernel", TelEventKind::SpanPush);
-        t.sync();
         // Spans are sampled while open: wait a couple of ticks, then close.
-        t.sync();
-        handles[0].emit("ts:kernel", TelEventKind::SpanPop);
+        emit(&handles[0], "ts:kernel", EventKind::SpanOpen);
+        wait_ticks(&t);
+        emit(&handles[0], "ts:kernel", EventKind::SpanClose);
         let snap = t.end_run();
         assert_eq!(snap.p, 2);
         assert!(!snap.running);
@@ -1268,19 +1012,13 @@ mod tests {
     #[test]
     fn begin_run_resets_state_and_bumps_run_id() {
         let t = tel();
-        let h = t.begin_run(1);
-        h[0].emit(
-            "x",
-            TelEventKind::Edge {
-                dst: 0,
-                kind: CollKind::Bcast,
-                bytes: 7,
-            },
-        );
+        let h = logs(1);
+        t.begin_run(&h);
+        emit(&h[0], "x", edge(0, CollKind::Bcast, 7));
         let first = t.end_run();
         assert_eq!(first.run_id, 1);
         assert_eq!(first.matrix_bytes(None, None), 7);
-        let _h2 = t.begin_run(3);
+        t.begin_run(&logs(3));
         let snap = t.snapshot();
         assert_eq!(snap.run_id, 2);
         assert_eq!(snap.p, 3);
@@ -1291,17 +1029,11 @@ mod tests {
     #[test]
     fn stale_handles_from_previous_runs_are_harmless() {
         let t = tel();
-        let old = t.begin_run(2);
-        let _new = t.begin_run(1);
-        // Old handle's ring is orphaned; rank 1 is also out of range now.
-        old[1].emit(
-            "x",
-            TelEventKind::Edge {
-                dst: 0,
-                kind: CollKind::Bcast,
-                bytes: 100,
-            },
-        );
+        let old = logs(2);
+        t.begin_run(&old);
+        t.begin_run(&logs(1));
+        // The old logs are no longer read; rank 1 is also out of range now.
+        emit(&old[1], "x", edge(0, CollKind::Bcast, 100));
         let snap = t.end_run();
         assert_eq!(snap.matrix_bytes(None, None), 0);
     }
@@ -1309,18 +1041,11 @@ mod tests {
     #[test]
     fn http_endpoint_serves_all_routes() {
         let t = tel();
-        let h = t.begin_run(2);
-        h[0].emit(
-            "ts:bfetch",
-            TelEventKind::Edge {
-                dst: 1,
-                kind: CollKind::AllToAllV,
-                bytes: 64,
-            },
-        );
-        h[0].emit("ts:pack", TelEventKind::SpanPush);
-        t.sync();
-        t.sync();
+        let h = logs(2);
+        t.begin_run(&h);
+        emit(&h[0], "ts:bfetch", edge(1, CollKind::AllToAllV, 64));
+        emit(&h[0], "ts:pack", EventKind::SpanOpen);
+        wait_ticks(&t);
 
         let get = |path: &str| -> (String, String) {
             let mut s = TcpStream::connect(t.addr()).unwrap();
@@ -1358,7 +1083,7 @@ mod tests {
     #[test]
     fn prometheus_families_are_declared_before_samples() {
         let t = tel();
-        let _h = t.begin_run(2);
+        t.begin_run(&logs(2));
         let text = t.snapshot().to_prometheus();
         let mut declared = std::collections::BTreeSet::new();
         for line in text.lines() {
@@ -1373,6 +1098,17 @@ mod tests {
     }
 
     #[test]
+    fn kind_names_follow_coll_kind_order() {
+        use CollKind::*;
+        let kinds = [
+            AllToAllV, AllGatherV, Bcast, AllReduce, GatherV, Barrier, Split,
+        ];
+        for kind in kinds {
+            assert_eq!(KIND_NAMES[kind as usize], format!("{kind:?}"));
+        }
+    }
+
+    #[test]
     fn mode_classification_follows_tag_suffix() {
         assert_eq!(mode_index("ts:bfetch"), 0);
         assert_eq!(mode_index("bfs:i3:bfetch"), 0);
@@ -1384,11 +1120,9 @@ mod tests {
     #[test]
     fn snapshot_json_is_parseable_shape() {
         let t = tel();
-        let h = t.begin_run(1);
-        h[0].emit(
-            "a\"b",
-            TelEventKind::Flight(FlightEventKind::StepStart { rb: 0, cb: 0 }),
-        );
+        let h = logs(1);
+        t.begin_run(&h);
+        h[0].record("a\"b", FlightEventKind::StepStart { rb: 0, cb: 0 });
         let snap = t.end_run();
         let json = snap.to_json();
         // Escaped quote survives, braces balance.

@@ -1,10 +1,12 @@
-//! The run harness: launches `p` ranks as threads and collects profiles.
+//! The run harness: launches `p` ranks as threads and collects the views
+//! of their event logs.
 
 use crate::comm::{Comm, GroupShared};
 use crate::fault::{
     FailureBoard, FailureInfo, FaultCtx, FaultPlan, HangEntry, HangReport, RankFailure,
 };
 use crate::flight::FlightRecorder;
+use crate::log::EventLog;
 use crate::metrics::MetricsRegistry;
 use crate::stats::RankProfile;
 use crate::trace::TraceConfig;
@@ -79,30 +81,6 @@ fn panic_cause(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn unwrap_arcs<T>(arcs: Vec<Arc<Mutex<T>>>, clone_out: impl Fn(&T) -> T) -> Vec<T> {
-    arcs.into_iter()
-        .map(|arc| {
-            Arc::try_unwrap(arc)
-                .map(|m| m.into_inner())
-                .unwrap_or_else(|arc| {
-                    // A sub-communicator kept a clone alive past the rank
-                    // function; copy the data out instead.
-                    clone_out(&arc.lock())
-                })
-        })
-        .collect()
-}
-
-/// What every rank of a run left behind, before failures are interpreted.
-struct Launched<R> {
-    /// Rank `i`'s return value, or the payload of its panic.
-    outcomes: Vec<std::thread::Result<R>>,
-    profiles: Vec<RankProfile>,
-    metrics: Vec<MetricsRegistry>,
-    flights: Vec<FlightRecorder>,
-    board: Arc<FailureBoard>,
-}
-
 /// How many flight-recorder events a failed rank's [`HangEntry`] embeds.
 const HANG_TAIL_EVENTS: usize = 8;
 
@@ -146,9 +124,9 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,
     {
-        let run = Self::launch(p, &FaultPlan::none(), trace, f);
+        let (run, _) = Self::launch(p, &FaultPlan::none(), trace, f);
         let results = run
-            .outcomes
+            .results
             .into_iter()
             .map(|out| out.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
             .collect();
@@ -194,14 +172,9 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,
     {
-        let Launched {
-            outcomes,
-            profiles,
-            metrics,
-            flights,
-            board,
-        } = Self::launch(p, plan, trace, f);
-        let results: Vec<Result<R, RankFailure>> = outcomes
+        let (run, board) = Self::launch(p, plan, trace, f);
+        let results: Vec<Result<R, RankFailure>> = run
+            .results
             .into_iter()
             .enumerate()
             .map(|(rank, out)| {
@@ -233,7 +206,7 @@ impl World {
                         parked: fail
                             .and_then(|f| f.parked.clone().or_else(|| board.parked_of(rank))),
                         flight_tail: fail.map_or_else(Vec::new, |_| {
-                            flights[rank].tail_strings(HANG_TAIL_EVENTS)
+                            run.flights[rank].tail_strings(HANG_TAIL_EVENTS)
                         }),
                     }
                 })
@@ -242,67 +215,60 @@ impl World {
 
         TryRunOutput {
             results,
-            profiles,
-            metrics,
-            flights,
+            profiles: run.profiles,
+            metrics: run.metrics,
+            flights: run.flights,
             hang_report,
         }
     }
 
-    /// The one run path behind every entry point: creates the group and the
-    /// per-rank sinks (profile, metrics, flight ring, telemetry), runs `f`
-    /// on `p` rank threads with each rank's panic caught, seals the
-    /// telemetry run, and hands back every rank's outcome and sinks.
+    /// The one run path behind every entry point: creates the group and
+    /// one event log per rank, runs `f` on `p` rank threads with each
+    /// rank's panic caught, seals the telemetry run, and hands back every
+    /// rank's outcome (result or panic payload), its log's views and the
+    /// failure board.
     ///
     /// Only a non-empty `plan` gives the ranks a fault context, which makes
     /// receives poll the failure board and ranks report to it on exit.
-    fn launch<R, F>(p: usize, plan: &FaultPlan, trace: TraceConfig, f: F) -> Launched<R>
+    fn launch<R, F>(
+        p: usize,
+        plan: &FaultPlan,
+        trace: TraceConfig,
+        f: F,
+    ) -> (RunOutput<std::thread::Result<R>>, Arc<FailureBoard>)
     where
         R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,
     {
         assert!(p > 0, "need at least one rank");
         let group = GroupShared::new((0..p).collect());
-        let profiles: Vec<Arc<Mutex<RankProfile>>> = (0..p)
-            .map(|r| Arc::new(Mutex::new(RankProfile::new(r))))
-            .collect();
-        let metrics: Vec<Arc<Mutex<MetricsRegistry>>> = (0..p)
-            .map(|_| Arc::new(Mutex::new(MetricsRegistry::new())))
-            .collect();
-        let flights: Vec<Arc<Mutex<FlightRecorder>>> = (0..p)
-            .map(|r| Arc::new(Mutex::new(FlightRecorder::new(r))))
-            .collect();
         let inject = !plan.is_empty();
         let plan = Arc::new(plan.clone());
         let board = FailureBoard::new();
         let telemetry = crate::telemetry::global();
-        let mut rank_tels: Vec<Option<crate::telemetry::RankTelemetry>> = telemetry
-            .map(|t| t.begin_run(p).into_iter().map(Some).collect())
-            .unwrap_or_default();
+        let logs: Vec<EventLog> = (0..p).map(EventLog::new).collect();
+        if let Some(t) = telemetry {
+            t.begin_run(&logs);
+        }
 
-        let outcomes = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..p)
-                .map(|rank| {
+        let ranks: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = logs
+                .iter()
+                .enumerate()
+                .map(|(rank, log)| {
                     let group = Arc::clone(&group);
-                    let profile = Arc::clone(&profiles[rank]);
-                    let registry = Arc::clone(&metrics[rank]);
-                    let flight = Arc::clone(&flights[rank]);
                     let plan = Arc::clone(&plan);
                     let board = Arc::clone(&board);
-                    let tel = rank_tels.get_mut(rank).and_then(Option::take);
                     let f = &f;
                     scope.spawn(move || {
+                        let registry = Arc::new(Mutex::new(MetricsRegistry::new()));
                         let mut comm =
-                            Comm::new(group, rank, Arc::clone(&profile), registry, flight, trace);
-                        if let Some(t) = tel {
-                            comm.set_telemetry(t);
-                        }
+                            Comm::new(group, rank, log.clone(), Arc::clone(&registry), trace);
                         if inject {
                             comm.set_fault(FaultCtx::new(plan, Arc::clone(&board), rank));
                         }
                         let out =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
-                        profile.lock().finish();
                         match &out {
                             Ok(_) if inject => board.mark_done(rank),
                             // Injected crashes already marked the board
@@ -314,31 +280,39 @@ impl World {
                             }),
                             _ => {}
                         }
-                        out
+                        let metrics = std::mem::take(&mut *registry.lock());
+                        (out, metrics, log.now())
                     })
                 })
                 .collect();
-            // A join error is only reachable if profile bookkeeping itself
-            // panicked.
+            // A join error is only reachable if the rank's bookkeeping
+            // after `f` itself panicked.
             handles
                 .into_iter()
-                .map(|h| h.join().and_then(|out| out))
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                 .collect()
         });
 
         if let Some(t) = telemetry {
             // Seal the run, even a partly-failed one: the endpoint keeps
-            // serving this final state, and crashed ranks' rings were
-            // drained up to the collective that killed them.
+            // serving this final state, read from every log up to its end
+            // (a crashed rank's ends on the collective that killed it).
             let _ = t.end_run();
         }
-        Launched {
-            outcomes,
-            profiles: unwrap_arcs(profiles, |p| p.snapshot()),
-            metrics: unwrap_arcs(metrics, |m| m.clone()),
-            flights: unwrap_arcs(flights, |fl| fl.clone()),
-            board,
+        // Fold the views here, not on the rank threads (see `crate::log`).
+        let mut run = RunOutput {
+            results: Vec::with_capacity(p),
+            profiles: Vec::with_capacity(p),
+            metrics: Vec::with_capacity(p),
+            flights: Vec::with_capacity(p),
+        };
+        for ((out, metrics, end), log) in ranks.into_iter().zip(&logs) {
+            run.results.push(out);
+            run.profiles.push(log.profile(end, trace.on()));
+            run.metrics.push(metrics);
+            run.flights.push(log.flight());
         }
+        (run, board)
     }
 }
 

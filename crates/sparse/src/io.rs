@@ -36,6 +36,19 @@ fn parse_err(msg: impl Into<String>) -> MmError {
     MmError::Parse(msg.into())
 }
 
+/// Rejects dimensions whose indices do not fit [`Idx`]: their entries'
+/// coordinates would silently wrap.
+fn check_dims(nrows: u64, ncols: u64) -> Result<(), MmError> {
+    let dim = nrows.max(ncols);
+    if dim > Idx::MAX as u64 {
+        return Err(parse_err(format!(
+            "dimension {dim} exceeds the largest index {}",
+            Idx::MAX
+        )));
+    }
+    Ok(())
+}
+
 /// Reads a MatrixMarket `coordinate` matrix (real/integer/pattern; general or
 /// symmetric) from a reader. Pattern entries get value 1.0; symmetric
 /// matrices are expanded to general.
@@ -76,6 +89,7 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo<f64>, MmError> {
         return Err(parse_err("size line must have 3 fields"));
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+    check_dims(nrows as u64, ncols as u64)?;
 
     let mut coo = Coo::new(nrows, ncols);
     let mut seen = 0usize;
@@ -174,6 +188,7 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<Coo<f64>, MmError> {
         reader.read_exact(&mut u64buf)?;
         *d = u64::from_le_bytes(u64buf);
     }
+    check_dims(dims[0], dims[1])?;
     let (nrows, ncols, nnz) = (dims[0] as usize, dims[1] as usize, dims[2] as usize);
     let mut coo = Coo::new(nrows, ncols);
     let mut u32buf = [0u8; 4];
@@ -271,6 +286,27 @@ mod tests {
     fn rejects_wrong_count() {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n";
         assert!(read_matrix_market(text.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn rejects_dimensions_beyond_the_index_type() {
+        // Row 2^32 + 1 would wrap to row 1.
+        let text =
+            "%%MatrixMarket matrix coordinate real general\n4294967297 2 1\n4294967297 1 1.0\n";
+        let err = read_matrix_market(text.as_bytes()).unwrap_err();
+        assert!(matches!(err, MmError::Parse(_)), "{err}");
+        let mut bin = BIN_MAGIC.to_vec();
+        for dim in [2u64, (1 << 32) + 1, 0] {
+            bin.extend_from_slice(&dim.to_le_bytes());
+        }
+        let err = read_binary(&bin[..]).unwrap_err();
+        assert!(matches!(err, MmError::Parse(_)), "{err}");
+        // The largest index type dimension itself is fine.
+        let text = "%%MatrixMarket matrix coordinate real general\n4294967295 1 0\n";
+        assert_eq!(
+            read_matrix_market(text.as_bytes()).unwrap().nrows(),
+            4294967295
+        );
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 use tsgemm_sparse::accum::{Accumulator, HashAccum, Spa};
 use tsgemm_sparse::ewise::{andnot, intersect, union};
+use tsgemm_sparse::io::{read_binary, read_matrix_market, write_binary, write_matrix_market};
 use tsgemm_sparse::merge::merge;
 use tsgemm_sparse::perm::{permute_symmetric, random_permutation, rcm_order};
 use tsgemm_sparse::sparsify::{sparsity, topk_per_row};
@@ -70,11 +71,11 @@ proptest! {
         let cb = b.to_csr::<PlusTimesF64>();
         let c = spgemm::<PlusTimesF64>(&ca, &cb, AccumChoice::Auto);
         let dc = dense_ref_mm(&ca, &cb);
-        for r in 0..ca.nrows() {
-            for j in 0..cb.ncols() {
+        for (r, row) in dc.iter().enumerate() {
+            for (j, &want) in row.iter().enumerate() {
                 let got = c.get(r, j as Idx).unwrap_or(0.0);
-                prop_assert!((got - dc[r][j]).abs() < 1e-9,
-                    "mismatch at ({}, {}): {} vs {}", r, j, got, dc[r][j]);
+                prop_assert!((got - want).abs() < 1e-9,
+                    "mismatch at ({}, {}): {} vs {}", r, j, got, want);
             }
         }
     }
@@ -246,5 +247,56 @@ proptest! {
         check.sort_unstable();
         prop_assert!(check.iter().enumerate().all(|(i, &v)| i as Idx == v));
         permute_symmetric(&sq, &order).validate().unwrap();
+    }
+}
+
+/// Serialises `m` in both formats: `(MatrixMarket text, binary)`.
+fn both_formats(m: &Coo<f64>) -> (Vec<u8>, Vec<u8>) {
+    let (mut text, mut bin) = (Vec::new(), Vec::new());
+    write_matrix_market(&mut text, m).unwrap();
+    write_binary(&mut bin, m).unwrap();
+    (text, bin)
+}
+
+/// Bytes a mutation writes: mostly characters the text parser acts on,
+/// plus arbitrary bytes.
+const MUTANTS: &[u8] = b"0123456789 .-e\n%";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn both_formats_round_trip(coo in coo_strategy(20, 20, 60)) {
+        let (text, bin) = both_formats(&coo);
+        prop_assert_eq!(read_matrix_market(&text[..]).unwrap(), coo.clone());
+        prop_assert_eq!(read_binary(&bin[..]).unwrap(), coo);
+    }
+
+    #[test]
+    fn readers_survive_mutated_and_truncated_files(
+        coo in coo_strategy(12, 12, 30),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+        cut in any::<usize>(),
+    ) {
+        let (text, bin) = both_formats(&coo);
+        for mut bytes in [text, bin] {
+            for &(at, b) in &edits {
+                let n = bytes.len();
+                bytes[at % n] = if b < 128 { MUTANTS[b as usize % MUTANTS.len()] } else { b };
+            }
+            bytes.truncate(cut % (bytes.len() + 1));
+            // Either outcome is fine; a panic fails the test.
+            let _ = read_matrix_market(&bytes[..]);
+            let _ = read_binary(&bytes[..]);
+        }
+    }
+
+    #[test]
+    fn readers_survive_random_bytes(body in proptest::collection::vec(any::<u8>(), 0..96)) {
+        for head in [&b""[..], b"%%MatrixMarket matrix coordinate real general\n", b"TSGEMM1\n"] {
+            let bytes = [head, &body[..]].concat();
+            let _ = read_matrix_market(&bytes[..]);
+            let _ = read_binary(&bytes[..]);
+        }
     }
 }

@@ -91,6 +91,14 @@ fn ranks(flags: &HashMap<String, String>) -> Result<usize, String> {
     }
 }
 
+/// Reads `--sparsity`, the fraction of B's entries that are zero.
+fn sparsity(flags: &HashMap<String, String>) -> Result<f64, String> {
+    match get(flags, "sparsity", 0.8f64)? {
+        s if (0.0..=1.0).contains(&s) => Ok(s),
+        s => Err(format!("--sparsity must be in [0, 1], got {s}")),
+    }
+}
+
 fn is_square(n: usize) -> bool {
     n.isqrt() * n.isqrt() == n
 }
@@ -117,6 +125,12 @@ fn save(path: &str, m: &Coo<f64>) -> Result<(), String> {
 fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
     let kind = required(flags, "kind")?;
     let scale: u32 = get(flags, "scale", 14u32)?;
+    if scale >= Idx::BITS {
+        return Err(format!(
+            "--scale must be below {} so that n = 2^scale fits the index type, got {scale}",
+            Idx::BITS
+        ));
+    }
     let deg: f64 = get(flags, "deg", 16.0f64)?;
     let seed: u64 = get(flags, "seed", 1u64)?;
     let out = required(flags, "out")?;
@@ -159,14 +173,14 @@ fn report_run(profiles: &[tsgemm::net::RankProfile], tag: &str) {
 }
 
 fn cmd_multiply(flags: &HashMap<String, String>) -> Result<(), String> {
+    let d: usize = get(flags, "d", 128usize)?;
+    let sparsity = sparsity(flags)?;
+    let p = ranks(flags)?;
     let acoo = load(required(flags, "matrix")?)?;
     let n = acoo.nrows();
     if acoo.ncols() != n {
         return Err("multiply needs a square matrix".into());
     }
-    let d: usize = get(flags, "d", 128usize)?;
-    let sparsity: f64 = get(flags, "sparsity", 0.8f64)?;
-    let p = ranks(flags)?;
     let algo = flags.get("algo").map(|s| s.as_str()).unwrap_or("ts");
     let verify = flags.contains_key("verify");
     let bcoo = gen::random_tall(n, d, sparsity, 7);

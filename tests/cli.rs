@@ -1,5 +1,6 @@
-//! The `tsgemm` binary rejects rank counts its algorithms cannot run on with
-//! an error message and a failing exit status, not a panic.
+//! The `tsgemm` binary rejects rank counts its algorithms cannot run on, and
+//! out-of-range generator parameters, with an error message and a failing
+//! exit status, not a panic.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -72,6 +73,49 @@ fn bad_rank_counts_are_errors_not_panics() {
     ] {
         let (ok, stderr) = multiply(&mtx, args);
         assert!(ok, "{args:?}: stderr {stderr:?}");
+    }
+    std::fs::remove_dir_all(mtx.parent().unwrap()).ok();
+}
+
+#[test]
+fn bad_generator_parameters_are_errors_not_panics() {
+    let mtx = tiny_mtx("bad_generator_parameters_are_errors_not_panics");
+    for s in ["1.5", "-1", "NaN"] {
+        assert_refused(&mtx, &["--sparsity", s], "--sparsity must be in [0, 1]");
+    }
+    let out_path = mtx.with_file_name("x.bin");
+    let out = Command::new(env!("CARGO_BIN_EXE_tsgemm"))
+        .args(["generate", "--kind", "rmat", "--scale", "70", "--out"])
+        .arg(&out_path)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "--scale 70 must exit non-zero");
+    assert!(stderr.contains("--scale must be below 32"), "{stderr:?}");
+    assert!(!stderr.contains("panicked"), "{stderr:?}");
+    assert!(!out_path.exists(), "nothing is written");
+    // A row index past the 32-bit index type is refused, not wrapped.
+    let big = mtx.with_file_name("big.mtx");
+    std::fs::write(
+        &big,
+        "%%MatrixMarket matrix coordinate real general\n4294967297 2 1\n4294967297 1 1.0\n",
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_tsgemm"))
+        .args(["convert", "--in"])
+        .arg(&big)
+        .arg("--out")
+        .arg(&out_path)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "convert must exit non-zero");
+    assert!(stderr.contains("exceeds the largest index"), "{stderr:?}");
+    assert!(!out_path.exists(), "nothing is written");
+    // The valid edges still run.
+    for s in ["0", "1"] {
+        let (ok, stderr) = multiply(&mtx, &["--sparsity", s, "-p", "2"]);
+        assert!(ok, "--sparsity {s}: stderr {stderr:?}");
     }
     std::fs::remove_dir_all(mtx.parent().unwrap()).ok();
 }

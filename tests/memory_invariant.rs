@@ -26,14 +26,15 @@
 //!    slices with pack/mailbox/index copies, and a fixed few MiB for
 //!    accumulators, hash maps and runtime noise.
 //!
-//! Plus the flight-recorder no-allocation guarantee: recording into a
-//! pre-sized ring performs zero heap allocations per event, verified by
-//! the allocation *counter* (not wall-clock or capacity proxies).
+//! Plus the event-log no-allocation guarantee: recording into a rank's
+//! event log under a known tag performs no heap allocation per event (only
+//! the log's amortised doubling), verified by the allocation *counter*
+//! (not wall-clock or capacity proxies).
 
 use std::sync::Mutex;
 use tsgemm::core::trace::{alloc, CountingAlloc, MemScope};
 use tsgemm::core::{ts_spgemm, BlockDist, ColBlocks, DistCsr, TsConfig};
-use tsgemm::net::{CollKind, FlightEventKind, FlightRecorder, World};
+use tsgemm::net::{CollKind, EventLog, FlightEventKind, World};
 use tsgemm::sparse::gen::{erdos_renyi, random_tall};
 use tsgemm::sparse::spgemm::{spgemm, AccumChoice};
 use tsgemm::sparse::{Csr, PlusTimesF64};
@@ -193,7 +194,7 @@ fn flight_recording_allocates_nothing_per_event() {
     alloc::set_enabled(false);
     alloc::reset();
 
-    let mut rec = FlightRecorder::with_capacity(0, 256);
+    let log = EventLog::new(0);
     alloc::set_enabled(true);
     // Recording is single-threaded, so count this thread's allocations
     // only: the test harness allocates on its own threads (reporting the
@@ -207,14 +208,14 @@ fn flight_recording_allocates_nothing_per_event() {
     );
     let before = before + 1;
     for i in 0..10_000u64 {
-        rec.record(
+        log.record(
             "ts:bfetch",
             FlightEventKind::CollPosted {
                 seq: i,
                 kind: CollKind::AllToAllV,
             },
         );
-        rec.record(
+        log.record(
             "ts:bfetch",
             FlightEventKind::CollDone {
                 seq: i,
@@ -227,12 +228,13 @@ fn flight_recording_allocates_nothing_per_event() {
     let delta = alloc::thread_alloc_count() - before;
     alloc::set_enabled(false);
 
-    assert_eq!(rec.total_recorded(), 20_000);
+    let flight = log.flight();
+    assert_eq!(flight.total_recorded(), 20_000);
     assert!(
         delta < 16,
-        "flight recording allocated ({delta} allocation calls for 20k events)"
+        "event-log recording allocated ({delta} allocation calls for 20k events)"
     );
-    // The ring still holds the newest events, oldest overwritten.
-    let tail = rec.tail_strings(4);
+    // The flight view still holds the newest events.
+    let tail = flight.tail_strings(4);
     assert!(tail.iter().all(|s| s.contains("ts:bfetch")), "{tail:?}");
 }

@@ -9,20 +9,21 @@
 //! What is checked, end to end:
 //!
 //! 1. **Conservation.** The live rank×rank comm matrix is sender-side
-//!    accounting streamed through the SPSC rings — so row `r` must sum to
+//!    accounting read from the per-rank event logs — so row `r` must sum to
 //!    exactly the bytes rank `r`'s profile says it sent, and column `r` to
 //!    the bytes rank `r` received, for every collective kind at once.
 //! 2. **Byte-exact symbolic match.** Summed over ranks, the matrix's
 //!    `local` slice equals the symbolic step's `ts:bfetch` predictions and
 //!    the `remote` slice its `ts:cret` predictions — the same invariant
 //!    `tests/comm_volume.rs` pins per rank, observed through a completely
-//!    independent path (event rings + aggregator instead of registries).
+//!    different path (event logs + aggregator instead of registries).
 //! 3. **Scrapability.** `/metrics` passes the `inspect lint-prom` grammar,
 //!    `/snapshot.json` parses and renders through `inspect top`, and
 //!    `/stacks.folded` is non-empty and renders through `inspect flame`.
 //! 4. **Crash forensics.** A rank killed by a fault plan leaves its last
 //!    phase in the final snapshot, and it matches the tail of the rank's
 //!    flight ring (telemetry sees the `CollPosted` before the fault fires).
+//! 5. **Whole tags.** A 40-byte tag reaches every view untruncated.
 
 use std::sync::{Mutex, Once};
 use tsgemm::core::{ts_spgemm, BlockDist, ColBlocks, DistCsr, ModePolicy, TsConfig};
@@ -249,4 +250,52 @@ fn crashed_rank_final_phase_matches_flight_ring_tail() {
     assert_eq!(tail_tag, "phase3", "crash_at_op(_, 3) dies posting phase3");
     // The dead rank entered the collective but never completed it.
     assert_eq!(snap.ranks[crash_rank].queue_depth(), 1);
+}
+
+#[test]
+fn long_tags_reach_every_view_whole() {
+    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let t = tel();
+    let tag = format!("long:{}", "x".repeat(35));
+    assert_eq!(tag.len(), 40);
+    let crash_rank = 1;
+    // Op 0 is the barrier; rank 1 dies posting op 1, the allreduce.
+    let plan = FaultPlan::none().crash_at_op(crash_rank, 1);
+    let out = World::try_run_traced(2, &plan, TraceConfig::enabled(), |comm| {
+        let _span = comm.span(|| tag.clone());
+        comm.barrier(tag.clone());
+        comm.allreduce(1u64, |a, b| a + b, tag.clone())
+    });
+    assert!(out.results[crash_rank].is_err(), "fault plan did not fire");
+
+    let last = out.flights[crash_rank]
+        .in_order()
+        .last()
+        .expect("crashed rank recorded flight events");
+    assert_eq!(last.tag, tag, "flight view");
+
+    let dir = std::env::temp_dir().join(format!(
+        "tsgemm-long_tags_reach_every_view_whole-{}",
+        std::process::id()
+    ));
+    let path = tsgemm::net::write_flight_jsonl(&dir, &out.flights).unwrap();
+    let body = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let quoted = format!("\"tag\":\"{tag}\"");
+    assert!(
+        body.lines()
+            .filter(|l| l.starts_with(&format!("{{\"rank\":{crash_rank},")))
+            .any(|l| l.contains(&quoted)),
+        "flight.jsonl"
+    );
+
+    let report = out.hang_report.as_ref().expect("a failed run has a report");
+    let tail = &report.entry(crash_rank).unwrap().flight_tail;
+    assert!(tail.last().is_some_and(|l| l.contains(&tag)), "{tail:?}");
+
+    assert_eq!(t.snapshot().ranks[crash_rank].phase, tag, "telemetry phase");
+    assert!(
+        out.profiles[0].spans.iter().any(|s| s.tag == tag),
+        "traced span"
+    );
 }
