@@ -19,7 +19,7 @@ fn main() {
     let d = env_usize("TSGEMM_D", 128);
     let ds = dataset("uk");
     let dist = BlockDist::new(ds.n, p);
-    let tiling = Tiling::default_for(dist);
+    let tiling = Tiling::table_iv(dist, None, None);
 
     let mut rep = Report::new("Table IV: default parameters", &["value"]);
     rep.push("ranks per node (cost model)", vec!["8".into()]);

@@ -20,15 +20,16 @@ use crate::colpart::{ColBlocks, Trip};
 use crate::dist::DistCsr;
 use crate::mode::{decide_modes, ModePolicy, TileMode};
 use crate::part::BlockDist;
-use crate::tiling::{subtile_csr, TileBuckets, Tiling};
+use crate::tiling::{needed_rows, subtile_csr, TileBuckets, Tiling};
 use std::collections::HashMap;
 use std::time::Instant;
 use tsgemm_net::{alloc, Comm, CommError, FlightEventKind, Metrics, MetricsRegistry};
 use tsgemm_pool::{nnz_chunks_range, ThreadPool};
 use tsgemm_sparse::accum::{Accumulator, HashAccum, Spa};
+use tsgemm_sparse::merge::merge;
 use tsgemm_sparse::semiring::Semiring;
 use tsgemm_sparse::spgemm::{spgemm, spgemm_flops, AccumChoice};
-use tsgemm_sparse::{Coo, Csr, Idx};
+use tsgemm_sparse::{Csr, Idx};
 
 /// Configuration of one TS-SpGEMM invocation.
 #[derive(Clone, Debug)]
@@ -62,16 +63,6 @@ impl TsConfig {
     pub fn with_width_factor(mut self, factor: usize, dist: BlockDist) -> Self {
         self.tile_width = Some((factor * dist.block().max(1)).min(dist.n().max(1)).max(1));
         self
-    }
-
-    fn tiling(&self, dist: BlockDist) -> Tiling {
-        let block = dist.block().max(1);
-        let h = self.tile_height.unwrap_or(block).max(1);
-        let w = self
-            .tile_width
-            .unwrap_or_else(|| (16 * block).min(dist.n().max(1)))
-            .max(1);
-        Tiling::new(dist, h, w)
     }
 }
 
@@ -226,7 +217,7 @@ pub fn try_ts_spgemm<S: Semiring>(
     let d = b.ncols();
     let (my_lo, _) = dist.range(me);
 
-    let tiling = cfg.tiling(dist);
+    let tiling = Tiling::table_iv(dist, cfg.tile_height, cfg.tile_width);
     let buckets = TileBuckets::build(ac, &tiling);
     let modes = decide_modes::<S>(comm, &tiling, &buckets, b, cfg.policy, &cfg.tag);
 
@@ -238,20 +229,19 @@ pub fn try_ts_spgemm<S: Semiring>(
         ..TsLocalStats::default()
     };
 
-    // Output accumulated as triplets in local row coordinates; duplicates
-    // (one per contributing tile) are ⊕-merged in the final COO→CSR build,
-    // which is exactly the MERGE of Alg. 2.
-    let mut out_trips: Vec<(Idx, Idx, S::T)> = Vec::new();
-    let use_spa = matches!(cfg.accum.resolve(d), AccumChoice::Spa);
-    let mut spa: Spa<S> = Spa::new(if use_spa { d } else { 1 });
-    let mut hash: HashAccum<S> = HashAccum::with_capacity(64);
-
     let trip_bytes = std::mem::size_of::<Trip<S::T>>() as u64;
     let mut flops = 0u64;
     let trace = comm.trace_on();
     let pool = ThreadPool::global();
+    // One finished CSR per row band, stacked into C at the end.
+    let mut bands: Vec<Csr<S::T>> = Vec::with_capacity(tiling.n_row_bands);
 
     for rb in 0..tiling.n_row_bands {
+        // This rank's local rows in row band `rb`.
+        let (g_lo, g_hi) = tiling.band_range(me, rb);
+        let band = (g_lo - my_lo) as usize..(g_hi - my_lo) as usize;
+        // This band's C restricted to each column band's contributions.
+        let mut pieces: Vec<Csr<S::T>> = Vec::with_capacity(tiling.n_col_bands);
         for cb in 0..tiling.n_col_bands {
             comm.flight_record(
                 &cfg.tag,
@@ -275,14 +265,8 @@ pub fn try_ts_spgemm<S: Semiring>(
                 };
                 match modes.serve[&key] {
                     TileMode::Local => {
-                        // Ship each distinct needed B row once (bucket is
-                        // grouped by column, so transitions mark new rows).
-                        let mut last_k: Option<Idx> = None;
-                        for &(_, k, _) in bucket {
-                            if last_k == Some(k) {
-                                continue;
-                            }
-                            last_k = Some(k);
+                        // Ship each distinct needed B row once.
+                        for k in needed_rows(bucket) {
                             let g_row = bcol_lo + k;
                             let (cols, vals) = b.local.row(k as usize);
                             for (&c, &v) in cols.iter().zip(vals) {
@@ -304,6 +288,8 @@ pub fn try_ts_spgemm<S: Semiring>(
                         );
                         flops += spgemm_flops(&tile, &b.local);
                         let part = spgemm::<S>(&tile, &b.local, cfg.accum);
+                        // Packed in row order: the owner merges each source's
+                        // message with one forward cursor.
                         for (r, cols, vals) in part.iter_rows() {
                             let g_row = band_lo + r as Idx;
                             for (&c, &v) in cols.iter().zip(vals) {
@@ -339,84 +325,85 @@ pub fn try_ts_spgemm<S: Semiring>(
             // Tiling bounds the multiply's working set to this step's slice.
             comm.note_working_set(transient);
 
-            // ---- tile-owner role: local multiply -------------------------
+            // ---- tile-owner role: local multiply and MERGE ----------------
             let kernel_span = comm.span(|| format!("{}:kernel", cfg.tag));
             // Index received B rows: global row id -> slice of entries.
-            let mut brow_entries: Vec<(Idx, S::T)> = Vec::new();
+            let mut brow_cols: Vec<Idx> = Vec::new();
+            let mut brow_vals: Vec<S::T> = Vec::new();
             let mut brow_index: HashMap<Idx, (u32, u32)> = HashMap::new();
             for msg in &brecv {
-                let mut run_start = brow_entries.len();
-                let mut run_row: Option<Idx> = None;
-                for t in msg {
-                    if run_row != Some(t.row) {
-                        if let Some(rr) = run_row {
-                            brow_index.insert(rr, (run_start as u32, brow_entries.len() as u32));
-                        }
-                        run_row = Some(t.row);
-                        run_start = brow_entries.len();
-                    }
-                    brow_entries.push((t.col, t.val));
-                }
-                if let Some(rr) = run_row {
-                    brow_index.insert(rr, (run_start as u32, brow_entries.len() as u32));
+                for run in msg.chunk_by(|x, y| x.row == y.row) {
+                    let lo = brow_cols.len() as u32;
+                    brow_cols.extend(run.iter().map(|t| t.col));
+                    brow_vals.extend(run.iter().map(|t| t.val));
+                    brow_index.insert(run[0].row, (lo, brow_cols.len() as u32));
                 }
             }
 
-            let (band_lo, band_hi) = tiling.band_range(me, rb);
             let (cb_lo, cb_hi) = tiling.col_band_range(cb);
+            // One mode lookup per serving rank and step, not per nonzero.
+            let step_modes: Vec<Option<TileMode>> = (0..p)
+                .map(|j| modes.own.get(&(rb as u32, cb as u32, j)).copied())
+                .collect();
             let ctx = OwnerCtx::<S> {
                 my_lo,
                 cb_lo,
                 cb_hi,
-                rb: rb as u32,
-                cb: cb as u32,
                 me,
                 dist,
                 a_local: &a.local,
                 b_local: &b.local,
-                own: &modes.own,
+                modes: &step_modes,
                 brow_index: &brow_index,
-                brow_entries: &brow_entries,
-                use_spa,
+                brow_cols: &brow_cols,
+                brow_vals: &brow_vals,
+                crecv: &crecv,
             };
-            let lo_l = (band_lo - my_lo) as usize;
-            let hi_l = (band_hi - my_lo) as usize;
-            if pool.nthreads() == 1 {
-                flops += owner_rows(&ctx, lo_l..hi_l, &mut spa, &mut hash, &mut out_trips);
-            } else {
-                // nnz-balanced chunks over this band of A's local rows; one
-                // private accumulator per chunk (the paper's per-thread SPA),
-                // per-chunk triplets concatenated in row order so the output
-                // sequence is byte-identical to the sequential pass.
-                let chunks = nnz_chunks_range(a.local.indptr(), lo_l, hi_l, pool.nthreads());
-                let parts = pool.run(chunks.len(), |k| {
-                    let t0 = trace.then(Instant::now);
-                    let mut c_spa: Spa<S> = Spa::new(if use_spa { d } else { 1 });
-                    let mut c_hash: HashAccum<S> = HashAccum::with_capacity(64);
-                    let mut trips = Vec::new();
-                    let f =
-                        owner_rows(&ctx, chunks[k].clone(), &mut c_spa, &mut c_hash, &mut trips);
-                    (trips, f, t0.map(|t| (t, Instant::now())))
-                });
-                for (k, (trips, f, span)) in parts.into_iter().enumerate() {
-                    out_trips.extend(trips);
-                    flops += f;
-                    if let Some((s0, e0)) = span {
-                        comm.record_span_between(format!("{}:kernel:t{k}", cfg.tag), s0, e0);
+            // nnz-balanced chunks over this band of A's local rows; one
+            // private accumulator per chunk (the paper's per-thread SPA),
+            // per-chunk rows concatenated in order, so the piece is
+            // byte-identical at every thread count.
+            let chunks = nnz_chunks_range(a.local.indptr(), band.start, band.end, pool.nthreads());
+            let lanes = trace && chunks.len() > 1;
+            let parts = pool.run(chunks.len(), |k| {
+                let t0 = lanes.then(Instant::now);
+                let rows = chunks[k].clone();
+                let part = match cfg.accum.resolve(d) {
+                    AccumChoice::Hash => {
+                        owner_rows(&ctx, rows, &mut HashAccum::<S>::with_capacity(64))
                     }
+                    _ => owner_rows(&ctx, rows, &mut Spa::<S>::new(d)),
+                };
+                (part, t0.map(|t| (t, Instant::now())))
+            });
+            for (k, (part, span)) in parts.iter().enumerate() {
+                flops += part.flops;
+                if let Some((s0, e0)) = *span {
+                    comm.record_span_between(format!("{}:kernel:t{k}", cfg.tag), s0, e0);
                 }
             }
-
+            // Chunk pieces in row order; the first one's buffers are kept.
+            let piece = parts
+                .into_iter()
+                .map(|(part, _)| part)
+                .reduce(|mut piece, part| {
+                    let base = piece.indices.len();
+                    piece
+                        .indptr
+                        .extend(part.indptr[1..].iter().map(|&x| x + base));
+                    piece.indices.extend(part.indices);
+                    piece.values.extend(part.values);
+                    piece
+                })
+                .expect("nnz_chunks_range yields at least one chunk");
+            pieces.push(Csr::from_parts(
+                band.len(),
+                d,
+                piece.indptr,
+                piece.indices,
+                piece.values,
+            ));
             kernel_span.end();
-
-            // ---- fold in remotely computed partials ----------------------
-            let merge_span = comm.span(|| format!("{}:merge", cfg.tag));
-            for msg in crecv {
-                for t in msg {
-                    out_trips.push((t.row - my_lo, t.col, t.val));
-                }
-            }
-            merge_span.end();
             comm.flight_record(
                 &cfg.tag,
                 FlightEventKind::StepEnd {
@@ -425,6 +412,14 @@ pub fn try_ts_spgemm<S: Semiring>(
                 },
             );
         }
+
+        // ---- merge the band's column-band pieces (⊕ in cb order) ---------
+        let merge_span = comm.span(|| format!("{}:merge", cfg.tag));
+        bands.push(match <[Csr<S::T>; 1]>::try_from(pieces) {
+            Ok([piece]) => piece,
+            Err(pieces) => merge::<S>(&pieces.iter().collect::<Vec<_>>(), cfg.accum),
+        });
+        merge_span.end();
     }
 
     comm.add_flops(flops);
@@ -442,126 +437,111 @@ pub fn try_ts_spgemm<S: Semiring>(
         }
     }
 
-    let c = Coo::from_entries(a.local_rows(), d, out_trips).to_csr::<S>();
+    let c = match <[Csr<S::T>; 1]>::try_from(bands) {
+        Ok([band]) => band,
+        Err(bands) => Csr::vstack(&bands.iter().collect::<Vec<_>>()),
+    };
     run_span.end();
     Ok((c, stats))
 }
 
 /// Shared-read context for the tile-owner multiply over one `(rb, cb)`
-/// band: everything a worker needs to process a chunk of local rows.
+/// step: everything a worker needs to process a chunk of local rows.
 struct OwnerCtx<'a, S: Semiring> {
     my_lo: Idx,
     cb_lo: Idx,
     cb_hi: Idx,
-    rb: u32,
-    cb: u32,
     me: usize,
     dist: BlockDist,
     a_local: &'a Csr<S::T>,
     b_local: &'a Csr<S::T>,
-    own: &'a HashMap<(u32, u32, usize), TileMode>,
+    /// This step's sub-tile mode per serving rank (`None`: no sub-tile, or
+    /// the diagonal).
+    modes: &'a [Option<TileMode>],
     brow_index: &'a HashMap<Idx, (u32, u32)>,
-    brow_entries: &'a [(Idx, S::T)],
-    use_spa: bool,
+    brow_cols: &'a [Idx],
+    brow_vals: &'a [S::T],
+    /// Returned partial `C` rows per source rank, each sorted by row.
+    crecv: &'a [Vec<Trip<S::T>>],
 }
 
-/// The tile-owner multiply for a contiguous range of *local* rows: Gustavson
-/// over the tile's column slice, draining each touched row into `out` as
-/// local-row triplets. Per-row output depends only on that row's
-/// accumulate/drain sequence, so any partition of the band into ranges,
-/// concatenated in order, reproduces the full-band pass exactly.
-fn owner_rows<S: Semiring>(
+/// One chunk's rows of a step's CSR piece (`indptr` relative to the chunk).
+struct OwnerPart<T> {
+    indptr: Vec<usize>,
+    indices: Vec<Idx>,
+    values: Vec<T>,
+    flops: u64,
+}
+
+/// The tile-owner multiply and MERGE for a contiguous range of *local*
+/// rows. Each row ⊕-accumulates the owner's products over the tile's column
+/// slice (in `A`'s column order), then the returned partials of that row
+/// (by source rank), and drains once. Per-row output depends only on that
+/// row's accumulate/drain sequence, so any partition of the band into
+/// ranges, concatenated in order, reproduces the full-band pass exactly.
+fn owner_rows<S: Semiring, A: Accumulator<S>>(
     ctx: &OwnerCtx<'_, S>,
     rows: std::ops::Range<usize>,
-    spa: &mut Spa<S>,
-    hash: &mut HashAccum<S>,
-    out: &mut Vec<(Idx, Idx, S::T)>,
-) -> u64 {
-    let mut flops = 0u64;
+    acc: &mut A,
+) -> OwnerPart<S::T> {
+    let mut out = OwnerPart {
+        indptr: Vec::with_capacity(rows.len() + 1),
+        indices: Vec::new(),
+        values: Vec::new(),
+        flops: 0,
+    };
+    out.indptr.push(0);
+    // One forward cursor per source into its row-sorted partials.
+    let g_lo = ctx.my_lo + rows.start as Idx;
+    let mut cursors: Vec<usize> = ctx
+        .crecv
+        .iter()
+        .map(|msg| msg.partition_point(|t| t.row < g_lo))
+        .collect();
     for r_local in rows {
         let (cols, vals) = ctx.a_local.row(r_local);
         let start = cols.partition_point(|&c| c < ctx.cb_lo);
         let end = cols.partition_point(|&c| c < ctx.cb_hi);
-        let mut touched = false;
-        for idx in start..end {
-            let c = cols[idx];
-            let va = vals[idx];
+        for (&c, &va) in cols[start..end].iter().zip(&vals[start..end]) {
             let j = ctx.dist.owner(c);
-            if j == ctx.me {
+            let (bc, bv) = if j == ctx.me {
                 // Diagonal: B row is local.
-                let (bc, bv) = ctx.b_local.row((c - ctx.my_lo) as usize);
-                for (&bcol, &bval) in bc.iter().zip(bv) {
-                    accumulate(ctx.use_spa, spa, hash, bcol, S::mul(va, bval));
-                    flops += 1;
-                    touched = true;
-                }
+                ctx.b_local.row((c - ctx.my_lo) as usize)
             } else {
-                match ctx.own.get(&(ctx.rb, ctx.cb, j)) {
-                    Some(TileMode::Local) => {
-                        if let Some(&(lo_e, hi_e)) = ctx.brow_index.get(&c) {
-                            for &(bcol, bval) in &ctx.brow_entries[lo_e as usize..hi_e as usize] {
-                                accumulate(ctx.use_spa, spa, hash, bcol, S::mul(va, bval));
-                                flops += 1;
-                                touched = true;
-                            }
-                        }
-                    }
-                    Some(TileMode::Remote) => { /* partial arrives below */ }
+                match ctx.modes[j] {
+                    Some(TileMode::Local) => match ctx.brow_index.get(&c) {
+                        Some(&(lo, hi)) => (
+                            &ctx.brow_cols[lo as usize..hi as usize],
+                            &ctx.brow_vals[lo as usize..hi as usize],
+                        ),
+                        None => continue, // empty B row: nothing shipped
+                    },
+                    Some(TileMode::Remote) => continue, // partial merged below
                     None => {
                         // The serving rank saw no entries for this sub-tile,
                         // yet we hold one: A and A^c have diverged — a bug.
-                        unreachable!("sub-tile ({},{}) served by {j} has no mode", ctx.rb, ctx.cb);
+                        unreachable!("sub-tile served by {j} has no mode");
                     }
                 }
+            };
+            for (&bcol, &bval) in bc.iter().zip(bv) {
+                acc.accumulate(bcol, S::mul(va, bval));
+            }
+            out.flops += bc.len() as u64;
+        }
+        let g_row = ctx.my_lo + r_local as Idx;
+        for (msg, at) in ctx.crecv.iter().zip(&mut cursors) {
+            while let Some(t) = msg.get(*at).filter(|t| t.row == g_row) {
+                acc.accumulate(t.col, t.val);
+                *at += 1;
             }
         }
-        if touched {
-            drain(ctx.use_spa, spa, hash, r_local as Idx, out);
-        } else {
-            reset(ctx.use_spa, spa, hash);
+        if acc.touched() > 0 {
+            acc.drain_sorted(&mut out.indices, &mut out.values);
         }
+        out.indptr.push(out.indices.len());
     }
-    flops
-}
-
-#[inline]
-fn accumulate<S: Semiring>(
-    use_spa: bool,
-    spa: &mut Spa<S>,
-    hash: &mut HashAccum<S>,
-    col: Idx,
-    val: S::T,
-) {
-    if use_spa {
-        spa.accumulate(col, val);
-    } else {
-        hash.accumulate(col, val);
-    }
-}
-
-fn drain<S: Semiring>(
-    use_spa: bool,
-    spa: &mut Spa<S>,
-    hash: &mut HashAccum<S>,
-    local_row: Idx,
-    out: &mut Vec<(Idx, Idx, S::T)>,
-) {
-    let mut idx = Vec::new();
-    let mut val = Vec::new();
-    if use_spa {
-        spa.drain_sorted(&mut idx, &mut val);
-    } else {
-        hash.drain_sorted(&mut idx, &mut val);
-    }
-    out.extend(idx.into_iter().zip(val).map(|(c, v)| (local_row, c, v)));
-}
-
-fn reset<S: Semiring>(use_spa: bool, spa: &mut Spa<S>, hash: &mut HashAccum<S>) {
-    if use_spa {
-        spa.reset();
-    } else {
-        hash.reset();
-    }
+    out
 }
 
 #[cfg(test)]
@@ -570,7 +550,7 @@ mod tests {
     use tsgemm_net::World;
     use tsgemm_sparse::gen::{erdos_renyi, random_tall, rmat, RMAT_WEB};
     use tsgemm_sparse::spgemm::spgemm as local_spgemm;
-    use tsgemm_sparse::{BoolAndOr, PlusTimesF64};
+    use tsgemm_sparse::{BoolAndOr, Coo, PlusTimesF64};
 
     /// Runs distributed TS-SpGEMM and checks the gathered result against a
     /// sequential multiply of the same operands.
@@ -739,6 +719,89 @@ mod tests {
         let remote: u64 = stats.iter().map(|s| s.remote_subtiles).sum();
         let local: u64 = stats.iter().map(|s| s.local_subtiles).sum();
         assert!(remote + local > 0);
+    }
+
+    #[test]
+    fn exact_cancellation_leaves_no_entry_at_any_merge_point() {
+        // C(0,0) = A(0,1)·B(1,0) + A(0,5)·B(5,0) = 1 - 1 = 0. Row 0 is rank
+        // 0's; column 1 is its diagonal, column 5 is served by rank 1. The
+        // second term arrives as a fetched B row (local mode) or a returned
+        // partial (remote mode), in the first column band or, with w = 4,
+        // from the second band, so the sum cancels in the owner's
+        // accumulator or in the column-band merge.
+        let (n, d, p) = (8, 2, 2);
+        let acoo = Coo::from_entries(n, n, vec![(0, 1, 1.0), (0, 5, 1.0)]);
+        let bcoo = Coo::from_entries(
+            n,
+            d,
+            vec![(1, 0, 1.0), (1, 1, 1.0), (5, 0, -1.0), (5, 1, 1.0)],
+        );
+        let expected = local_spgemm::<PlusTimesF64>(
+            &acoo.to_csr::<PlusTimesF64>(),
+            &bcoo.to_csr::<PlusTimesF64>(),
+            AccumChoice::Auto,
+        );
+        assert_eq!(expected.get(0, 0), None);
+        assert_eq!(expected.get(0, 1), Some(2.0));
+        for policy in [
+            ModePolicy::Hybrid,
+            ModePolicy::LocalOnly,
+            ModePolicy::RemoteOnly,
+        ] {
+            for tile_width in [None, Some(4)] {
+                for accum in [AccumChoice::Spa, AccumChoice::Hash] {
+                    let cfg = TsConfig {
+                        policy,
+                        tile_width,
+                        accum,
+                        ..TsConfig::default()
+                    };
+                    // `check` requires the sequential pattern exactly.
+                    check(n, d, p, &acoo, &bcoo, cfg);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flight_events_repeat_exactly_across_runs() {
+        // The symbolic step visits sub-tiles in key order, so its mode
+        // decisions, the mode messages and every later event come out in
+        // the same order on every run. Timestamps are left out.
+        let n = 256;
+        let d = 16;
+        let acoo = rmat(8, 8.0, RMAT_WEB, 7);
+        let bcoo = random_tall(n, d, 0.8, 8);
+        let cfg = TsConfig {
+            tile_height: Some(32),
+            tile_width: Some(64),
+            ..TsConfig::default()
+        };
+        let events = || {
+            let out = World::run(4, |comm| {
+                let dist = BlockDist::new(n, 4);
+                let a = DistCsr::from_global_coo::<PlusTimesF64>(&acoo, dist, comm.rank(), n);
+                let ac = ColBlocks::build::<PlusTimesF64>(comm, &a);
+                let b = DistCsr::from_global_coo::<PlusTimesF64>(&bcoo, dist, comm.rank(), d);
+                ts_spgemm::<PlusTimesF64>(comm, &a, &ac, &b, &cfg);
+            });
+            out.flights
+                .iter()
+                .map(|f| {
+                    let evs: Vec<_> = f.in_order().map(|e| (e.tag.clone(), e.kind)).collect();
+                    assert_eq!(evs.len() as u64, f.total_recorded(), "whole stream kept");
+                    evs
+                })
+                .collect::<Vec<_>>()
+        };
+        let first = events();
+        assert!(first
+            .iter()
+            .flatten()
+            .any(|(_, k)| matches!(k, FlightEventKind::TileMode { .. })));
+        for _ in 0..4 {
+            assert_eq!(events(), first);
+        }
     }
 
     #[test]

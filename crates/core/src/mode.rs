@@ -17,12 +17,11 @@
 
 use crate::colpart::Trip;
 use crate::dist::DistCsr;
-use crate::tiling::{subtile_csr, SubTileKey, TileBuckets, Tiling};
+use crate::tiling::{needed_rows, subtile_csr, SubTileKey, TileBuckets, Tiling};
 use std::collections::HashMap;
 use tsgemm_net::{Comm, FlightEventKind};
 use tsgemm_sparse::semiring::Semiring;
 use tsgemm_sparse::spgemm::spgemm_symbolic;
-use tsgemm_sparse::Idx;
 
 /// How a sub-tile's contribution is computed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,24 +56,6 @@ pub struct Modes {
     pub n_remote: u64,
     /// Count of this rank's diagonal sub-tiles (no communication).
     pub n_diag: u64,
-}
-
-/// Total `nnz` of the local `B` rows a sub-tile needs. Bucket entries are
-/// grouped by local column (the bucketing pass iterates columns in order),
-/// so distinct columns are found by scanning for transitions.
-fn needed_b_nnz<T: Copy, U: Copy>(
-    bucket: &[(Idx, Idx, T)],
-    b_local: &tsgemm_sparse::Csr<U>,
-) -> u64 {
-    let mut needed = 0u64;
-    let mut last_k: Option<Idx> = None;
-    for &(_, k, _) in bucket {
-        if last_k != Some(k) {
-            needed += b_local.row_nnz(k as usize) as u64;
-            last_k = Some(k);
-        }
-    }
-    needed
 }
 
 /// Runs the symbolic step and the mode-exchange AllToAll.
@@ -112,6 +93,12 @@ pub fn decide_modes<S: Semiring>(
             n_diag += 1;
             continue;
         }
+        // nnz the exec phase will pack as B-row triplets if it stays local.
+        let needed_nnz = || {
+            needed_rows(bucket)
+                .map(|k| b.local.row_nnz(k as usize) as u64)
+                .sum::<u64>()
+        };
         // nnz the exec phase will pack as partial-C triplets if this
         // sub-tile goes remote. Exact because the numeric kernel never
         // produces explicit zeros here (⊕-cancellation would require them).
@@ -130,7 +117,7 @@ pub fn decide_modes<S: Semiring>(
         let mode = match policy {
             ModePolicy::LocalOnly => {
                 if trace {
-                    predicted_bfetch += needed_b_nnz(bucket, &b.local) * trip_bytes;
+                    predicted_bfetch += needed_nnz() * trip_bytes;
                 }
                 TileMode::Local
             }
@@ -141,7 +128,7 @@ pub fn decide_modes<S: Semiring>(
                 TileMode::Remote
             }
             ModePolicy::Hybrid => {
-                let needed = needed_b_nnz(bucket, &b.local);
+                let needed = needed_nnz();
                 if needed == 0 {
                     // Nothing would move either way; keep it local (no-op).
                     TileMode::Local
@@ -219,7 +206,11 @@ mod tests {
     use crate::part::BlockDist;
     use tsgemm_net::World;
     use tsgemm_sparse::gen::{erdos_renyi, random_tall};
-    use tsgemm_sparse::{Coo, PlusTimesF64};
+    use tsgemm_sparse::{Coo, Idx, PlusTimesF64};
+
+    fn table_iv(dist: BlockDist) -> Tiling {
+        Tiling::table_iv(dist, None, None)
+    }
 
     fn setup(
         comm: &mut Comm,
@@ -246,7 +237,7 @@ mod tests {
         let acoo = erdos_renyi(n, 4.0, 3);
         let bcoo = random_tall(n, d, 0.5, 4);
         let out = World::run(4, |comm| {
-            let (tiling, buckets, b) = setup(comm, n, &acoo, &bcoo, d, Tiling::default_for);
+            let (tiling, buckets, b) = setup(comm, n, &acoo, &bcoo, d, table_iv);
             let modes =
                 decide_modes::<PlusTimesF64>(comm, &tiling, &buckets, &b, ModePolicy::Hybrid, "t");
             (comm.rank(), modes)
@@ -283,7 +274,7 @@ mod tests {
             (ModePolicy::RemoteOnly, false, true),
         ] {
             let out = World::run(4, |comm| {
-                let (tiling, buckets, b) = setup(comm, n, &acoo, &bcoo, d, Tiling::default_for);
+                let (tiling, buckets, b) = setup(comm, n, &acoo, &bcoo, d, table_iv);
                 let modes = decide_modes::<PlusTimesF64>(comm, &tiling, &buckets, &b, policy, "t");
                 (modes.n_local, modes.n_remote)
             });
@@ -315,7 +306,7 @@ mod tests {
             }
         }
         let out = World::run(2, |comm| {
-            let (tiling, buckets, b) = setup(comm, n, &acoo, &bcoo, d, Tiling::default_for);
+            let (tiling, buckets, b) = setup(comm, n, &acoo, &bcoo, d, table_iv);
             let modes =
                 decide_modes::<PlusTimesF64>(comm, &tiling, &buckets, &b, ModePolicy::Hybrid, "t");
             (comm.rank(), modes.n_remote, modes.n_local)
@@ -340,7 +331,7 @@ mod tests {
             bcoo.push(0, c as Idx, 1.0);
         }
         let out = World::run(2, |comm| {
-            let (tiling, buckets, b) = setup(comm, n, &acoo, &bcoo, d, Tiling::default_for);
+            let (tiling, buckets, b) = setup(comm, n, &acoo, &bcoo, d, table_iv);
             let modes =
                 decide_modes::<PlusTimesF64>(comm, &tiling, &buckets, &b, ModePolicy::Hybrid, "t");
             (modes.n_remote, modes.n_local)
@@ -355,7 +346,7 @@ mod tests {
         let acoo = erdos_renyi(n, 6.0, 5);
         let bcoo = random_tall(n, d, 0.25, 6);
         let out = World::run(3, |comm| {
-            let (tiling, buckets, b) = setup(comm, n, &acoo, &bcoo, d, Tiling::default_for);
+            let (tiling, buckets, b) = setup(comm, n, &acoo, &bcoo, d, table_iv);
             let modes =
                 decide_modes::<PlusTimesF64>(comm, &tiling, &buckets, &b, ModePolicy::Hybrid, "t");
             let me = comm.rank();

@@ -11,7 +11,7 @@
 
 use crate::colpart::{ColBlocks, Trip};
 use crate::dist::DistCsr;
-use crate::tiling::{csr_from_unique_triplets, TileBuckets, Tiling};
+use crate::tiling::{csr_from_unique_triplets, needed_rows, TileBuckets, Tiling};
 use std::collections::HashMap;
 use std::time::Instant;
 use tsgemm_net::Comm;
@@ -103,13 +103,7 @@ pub fn dist_sddmm(
     assert_eq!(sc.dist, dist, "S^c must follow S's distribution");
     let (my_lo, _) = dist.range(me);
 
-    let block = dist.block().max(1);
-    let h = cfg.tile_height.unwrap_or(block).max(1);
-    let w = cfg
-        .tile_width
-        .unwrap_or_else(|| (16 * block).min(dist.n().max(1)))
-        .max(1);
-    let tiling = Tiling::new(dist, h, w);
+    let tiling = Tiling::table_iv(dist, cfg.tile_height, cfg.tile_width);
     let buckets = TileBuckets::build(sc, &tiling);
     let (zcol_lo, _) = sc.col_range();
 
@@ -133,12 +127,7 @@ pub fn dist_sddmm(
                 let Some(bucket) = buckets.get(&(i, rb as u32, cb as u32)) else {
                     continue;
                 };
-                let mut last_k: Option<Idx> = None;
-                for &(_, k, _) in bucket {
-                    if last_k == Some(k) {
-                        continue;
-                    }
-                    last_k = Some(k);
+                for k in needed_rows(bucket) {
                     let g_row = zcol_lo + k;
                     let (cols, vals) = z.local.row(k as usize);
                     for (&c, &v) in cols.iter().zip(vals) {

@@ -14,7 +14,7 @@
 
 use crate::colpart::ColBlocks;
 use crate::dist::DistCsr;
-use crate::tiling::{TileBuckets, Tiling};
+use crate::tiling::{needed_rows, TileBuckets, Tiling};
 use std::collections::HashMap;
 use std::time::Instant;
 use tsgemm_net::Comm;
@@ -107,13 +107,7 @@ pub fn dist_spmm<S: Semiring>(
     let d = b_dense.ncols();
     let (my_lo, _) = dist.range(me);
 
-    let block = dist.block().max(1);
-    let h = cfg.tile_height.unwrap_or(block).max(1);
-    let w = cfg
-        .tile_width
-        .unwrap_or_else(|| (16 * block).min(dist.n().max(1)))
-        .max(1);
-    let tiling = Tiling::new(dist, h, w);
+    let tiling = Tiling::table_iv(dist, cfg.tile_height, cfg.tile_width);
     let buckets = TileBuckets::build(ac, &tiling);
 
     let mut c = DenseMat::filled(dist.local_len(me), d, S::zero());
@@ -138,12 +132,7 @@ pub fn dist_spmm<S: Semiring>(
                 let Some(bucket) = buckets.get(&(i, rb as u32, cb as u32)) else {
                     continue;
                 };
-                let mut last_k: Option<Idx> = None;
-                for &(_, k, _) in bucket {
-                    if last_k == Some(k) {
-                        continue;
-                    }
-                    last_k = Some(k);
+                for k in needed_rows(bucket) {
                     id_send[i].push(bcol_lo + k);
                     val_send[i].extend_from_slice(b_dense.row(k as usize));
                     stats.rows_shipped += 1;

@@ -12,7 +12,7 @@
 
 use crate::colpart::ColBlocks;
 use crate::part::BlockDist;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use tsgemm_sparse::{Csr, Idx};
 
 /// Tile grid geometry, uniform across ranks.
@@ -44,16 +44,13 @@ impl Tiling {
         }
     }
 
-    /// The paper's defaults (Table IV): `h = n/p`, `w = 16·n/p` (clamped to n).
-    pub fn default_for(dist: BlockDist) -> Self {
+    /// The tiling for an optional tile height and width, each defaulting to
+    /// the paper's Table IV value: `h = n/p`, `w = 16·n/p` (clamped to n).
+    pub fn table_iv(dist: BlockDist, h: Option<usize>, w: Option<usize>) -> Self {
         let block = dist.block().max(1);
-        Self::new(dist, block, (16 * block).min(dist.n().max(1)))
-    }
-
-    /// Like [`Tiling::default_for`] but with `w = factor·n/p` (Fig. 5 sweep).
-    pub fn with_width_factor(dist: BlockDist, factor: usize) -> Self {
-        let block = dist.block().max(1);
-        Self::new(dist, block, (factor * block).min(dist.n().max(1)).max(1))
+        let h = h.unwrap_or(block).max(1);
+        let w = w.unwrap_or_else(|| (16 * block).min(dist.n().max(1)));
+        Self::new(dist, h, w.max(1))
     }
 
     /// Global row range of `rank`'s band `rb` (may be empty).
@@ -92,8 +89,10 @@ impl Tiling {
 pub type SubTileKey = (usize, u32, u32);
 
 /// `A^c` entries bucketed per sub-tile: `(global row, local column, value)`.
+/// Kept in key order, so the symbolic step visits sub-tiles (and emits its
+/// flight events and mode messages) in the same order on every run.
 pub struct TileBuckets<T> {
-    pub map: HashMap<SubTileKey, Vec<(Idx, Idx, T)>>,
+    pub map: BTreeMap<SubTileKey, Vec<(Idx, Idx, T)>>,
 }
 
 impl<T: Copy> TileBuckets<T> {
@@ -101,7 +100,7 @@ impl<T: Copy> TileBuckets<T> {
     /// sub-tile it belongs to.
     pub fn build(ac: &ColBlocks<T>, tiling: &Tiling) -> Self {
         let (clo, _) = ac.col_range();
-        let mut map: HashMap<SubTileKey, Vec<(Idx, Idx, T)>> = HashMap::new();
+        let mut map: BTreeMap<SubTileKey, Vec<(Idx, Idx, T)>> = BTreeMap::new();
         for (k, rows, vals) in ac.local.iter_cols() {
             let g_col = clo + k as Idx;
             let cb = tiling.col_band_of(g_col) as u32;
@@ -117,6 +116,12 @@ impl<T: Copy> TileBuckets<T> {
     pub fn get(&self, key: &SubTileKey) -> Option<&[(Idx, Idx, T)]> {
         self.map.get(key).map(|v| v.as_slice())
     }
+}
+
+/// The distinct local rows of `B` a sub-tile needs, in order: one per run of
+/// equal columns, since the bucketing pass walks `A^c` column by column.
+pub fn needed_rows<T>(bucket: &[(Idx, Idx, T)]) -> impl Iterator<Item = Idx> + '_ {
+    bucket.chunk_by(|x, y| x.1 == y.1).map(|g| g[0].1)
 }
 
 /// Builds a CSR from triplets with unique coordinates (no semiring needed;
@@ -174,7 +179,7 @@ mod tests {
     #[test]
     fn default_tiling_matches_table_iv() {
         let dist = BlockDist::new(160, 10); // block = 16
-        let t = Tiling::default_for(dist);
+        let t = Tiling::table_iv(dist, None, None);
         assert_eq!(t.h, 16);
         assert_eq!(t.w, 160);
         assert_eq!(t.n_row_bands, 1);
@@ -185,7 +190,10 @@ mod tests {
     fn width_factor_sweep() {
         let dist = BlockDist::new(64, 8); // block = 8
         for f in [1, 2, 4, 8] {
-            let t = Tiling::with_width_factor(dist, f);
+            let w = crate::TsConfig::default()
+                .with_width_factor(f, dist)
+                .tile_width;
+            let t = Tiling::table_iv(dist, None, w);
             assert_eq!(t.w, (f * 8).min(64));
             assert_eq!(t.n_col_bands, 64usize.div_ceil(t.w));
         }

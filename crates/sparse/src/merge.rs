@@ -8,7 +8,7 @@
 use crate::accum::{Accumulator, HashAccum, Spa};
 use crate::semiring::Semiring;
 use crate::spgemm::AccumChoice;
-use crate::{Csr, Idx};
+use crate::Csr;
 
 /// Sums matrices of identical shape under `S`, entry-wise.
 ///
@@ -49,57 +49,11 @@ fn merge_with<S: Semiring, A: Accumulator<S>>(mats: &[&Csr<S::T>], acc: &mut A) 
     Csr::from_parts(nrows, ncols, indptr, indices, values)
 }
 
-/// One remote update: a global row id plus its `(col, val)` entries.
-pub type RowUpdate<T> = (Idx, Vec<(Idx, T)>);
-
-/// Merges `(global_row, col, val)` triplet runs into an existing accumulator
-/// matrix: `base ⊕= updates`, where `updates` rows address `base` rows
-/// directly. Used to fold remotely-computed partial `C` rows into `C_i`.
-pub fn merge_rows_into<S: Semiring>(
-    base: &Csr<S::T>,
-    updates: &[RowUpdate<S::T>],
-    choice: AccumChoice,
-) -> Csr<S::T> {
-    // Bucket updates per row, then run one accumulator pass.
-    let nrows = base.nrows();
-    let ncols = base.ncols();
-    let mut per_row: Vec<Vec<usize>> = vec![Vec::new(); nrows];
-    for (u, &(r, _)) in updates.iter().enumerate() {
-        assert!((r as usize) < nrows, "update row {r} out of range");
-        per_row[r as usize].push(u);
-    }
-    #[allow(clippy::needless_range_loop)] // r indexes two parallel structures
-    let run = |acc: &mut dyn Accumulator<S>| -> Csr<S::T> {
-        let mut indptr = Vec::with_capacity(nrows + 1);
-        indptr.push(0);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for r in 0..nrows {
-            let (cols, vals) = base.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                acc.accumulate(c, v);
-            }
-            for &u in &per_row[r] {
-                for &(c, v) in &updates[u].1 {
-                    acc.accumulate(c, v);
-                }
-            }
-            acc.drain_sorted(&mut indices, &mut values);
-            indptr.push(indices.len());
-        }
-        Csr::from_parts(nrows, ncols, indptr, indices, values)
-    };
-    match choice.resolve(ncols) {
-        AccumChoice::Hash => run(&mut HashAccum::<S>::with_capacity(64)),
-        _ => run(&mut Spa::<S>::new(ncols)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::semiring::{BoolAndOr, PlusTimesF64};
-    use crate::Coo;
+    use crate::{Coo, Idx};
 
     fn mk(entries: &[(Idx, Idx, f64)]) -> Csr<f64> {
         Coo::from_entries(3, 3, entries.to_vec()).to_csr::<PlusTimesF64>()
@@ -155,20 +109,6 @@ mod tests {
         let b = Coo::from_entries(2, 2, vec![(0, 0, true), (1, 1, true)]).to_csr::<BoolAndOr>();
         let c = merge::<BoolAndOr>(&[&a, &b], AccumChoice::Auto);
         assert_eq!(c.nnz(), 2);
-    }
-
-    #[test]
-    fn merge_rows_into_applies_updates() {
-        let base = mk(&[(0, 0, 1.0), (1, 1, 1.0)]);
-        let updates = vec![
-            (0 as Idx, vec![(0 as Idx, 2.0), (2 as Idx, 3.0)]),
-            (2 as Idx, vec![(2 as Idx, 7.0)]),
-        ];
-        let c = merge_rows_into::<PlusTimesF64>(&base, &updates, AccumChoice::Auto);
-        assert_eq!(c.get(0, 0), Some(3.0));
-        assert_eq!(c.get(0, 2), Some(3.0));
-        assert_eq!(c.get(1, 1), Some(1.0));
-        assert_eq!(c.get(2, 2), Some(7.0));
     }
 
     #[test]
